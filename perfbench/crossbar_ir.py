@@ -1,40 +1,34 @@
-"""crossbar-ir: the electrical path, as a workload or as a traced probe.
+"""The crossbar probe: the electrical path's per-layer metrics.
 
-``BENCHMARK.json`` does not register crossbar-ir as a workload: its
-solves are memory-bound, and on a shared host their speed swings by up
-to half for seconds at a time, so no statistic of a run of a minute or
-less repeats within the benchmark's bounds.  It still runs by name
-(``run.py --workload crossbar-ir``) for a local look at the path end to
-end.  The crossbar per-layer metrics come from :func:`probe`, a fixed
-traced stream of jobs that every serve workload's traced run includes.
+crossbar-ir is not a workload of ``BENCHMARK.json``: its solves are
+memory-bound, and on a shared host their speed swings by up to half
+for seconds at a time, so no statistic of a run of a minute or less
+repeats within the benchmark's bounds.  The crossbar per-layer metrics
+come from :func:`probe` instead, a fixed traced stream of
+``wl.CROSSBAR_PROBE_JOBS`` jobs that every serve workload's traced run
+includes: 7 in 8 re-drive an unchanged tile (a factorization-cache
+read), every 8th programs one cell first.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Tuple
+from typing import Dict, List, Tuple
 
 import drive
 import workloads as wl
 from spans import Recorder
 
-#: Jobs in the traced probe (every 8th a cell write, so 32 writes).
-PROBE_JOBS = 256
 
-
-def _warm(tiles: List[Any]) -> List[drive.Solve]:
-    """One V/2 read per tile: the first factorizations, outside timing."""
-    jobs = [wl.CrossbarJob(index=-1 - t, tile=t, row=0, col=0, scheme=2,
-                           write=False) for t in range(wl.TILES)]
-    solves, _ = drive.crossbar_run(tiles, iter(jobs), count=wl.TILES)
-    return solves
-
-
-def _traced(tiles: List[Any], jobs: Iterator[wl.CrossbarJob], rec: Recorder,
-            **window: Any) -> Tuple[Dict[str, float], List[drive.Solve], float]:
-    """Run a traced window; returns the crossbar layer metrics, the
-    solves and the time spent inside them."""
+def probe(seed: int, rec: Recorder) -> Tuple[Dict[str, float], List[drive.Solve]]:
+    """The crossbar per-layer metrics and every solve made (checked)."""
+    tiles = wl.crossbar_tiles(seed)
+    # One V/2 read per tile first: the first factorizations, untraced.
+    first = [wl.CrossbarJob(index=-1 - t, tile=t, row=0, col=0, scheme=2,
+                            write=False) for t in range(wl.TILES)]
+    solves = drive.crossbar_run(tiles, iter(first), wl.TILES)
     before = drive.registry_counts()
-    solves, busy = drive.crossbar_run(tiles, jobs, rec=rec, **window)
+    solves += drive.crossbar_run(tiles, wl.crossbar_stream(seed),
+                                 wl.CROSSBAR_PROBE_JOBS, rec)
     after = drive.registry_counts()
     hits = after["factor_hit"] - before["factor_hit"]
     misses = after["factor_miss"] - before["factor_miss"]
@@ -49,46 +43,4 @@ def _traced(tiles: List[Any], jobs: Iterator[wl.CrossbarJob], rec: Recorder,
         "crossbar.write_solve_ms": mean_ms("api.solve_crossbar.write"),
         "crossbar.factor_hit_ratio": hits / (hits + misses),
     }
-    return layers, solves, busy
-
-
-def probe(seed: int, rec: Recorder) -> Tuple[Dict[str, float], List[drive.Solve]]:
-    """The crossbar per-layer metrics from PROBE_JOBS traced jobs."""
-    tiles = wl.crossbar_tiles(seed)
-    warm = _warm(tiles)
-    layers, solves, _ = _traced(tiles, wl.crossbar_stream(seed), rec,
-                                count=PROBE_JOBS)
-    return layers, warm + solves
-
-
-def run(seed: int, seconds: float, trace: int) -> Dict[str, Any]:
-    tiles = wl.crossbar_tiles(seed)
-    jobs = wl.crossbar_stream(seed)
-    solves = _warm(tiles)
-    rss = drive.PeakRss(drive.RSS_AFTER["crossbar-ir"])
-    window_a, busy_a = drive.crossbar_run(tiles, jobs, seconds=seconds, rss=rss)
-    solves += window_a
-    report: Dict[str, Any] = {"options": {
-        "tiles": wl.TILES, "tile_size": wl.TILE_SIZE,
-        "wire_resistance": wl.WIRE_RESISTANCE, "write_every": wl.WRITE_EVERY,
-        "callers": 1}}
-    if trace:
-        rec = Recorder()
-        layers, window_b, busy_b = _traced(tiles, jobs, rec, seconds=seconds)
-        solves += window_b
-        layers["bench.trace_overhead"] = (
-            (busy_b / len(window_b)) / (busy_a / len(window_a)) - 1)
-        report["layers"] = layers
-        report["recorder"] = rec
-    else:
-        report["peak_rss_mb"] = rss.result()
-        latencies = [s.latency for s in window_a if not s.error]
-        p50, tail, pct, beyond = drive.latency_stats("crossbar-ir", latencies)
-        report.update(throughput_ops=len(window_a) / busy_a,
-                      latency_p50_ms=p50, latency_tail_ms=tail,
-                      tail_pct=pct, tail_beyond=beyond,
-                      samples=len(latencies))
-    report["problems"] = [(s.index, s.error) for s in solves if s.error]
-    report["attempted"] = len(solves)
-    report["failed"] = len(report["problems"])
-    return report
+    return layers, solves

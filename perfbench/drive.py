@@ -2,18 +2,19 @@
 
 serve-small and serve-bulk run closed-loop asyncio callers (one
 process, one thread) against ``KernelServer.submit`` /
-``ClusterServer.submit`` with requests built by ``api.request``;
-crossbar-ir runs one caller through ``api.solve_crossbar``.  After a
-run every served result is checked against an independent replay:
-kernel outputs against ``run_kernel`` in full batches, billing against
-the replay's per-request split, evaluations against ``api.table2``,
-and every crossbar solution against KCL and charge conservation.
+``ClusterServer.submit`` with requests built by ``api.request``; the
+traced run's crossbar probe calls ``api.solve_crossbar``.  After a run
+every served result is checked against an independent replay: kernel
+outputs against ``run_kernel`` in full batches, billing against the
+replay's per-request split, evaluations against ``api.table2``, and
+every crossbar solution against KCL and charge conservation.
 """
 
 from __future__ import annotations
 
 import asyncio
 import inspect
+import itertools
 import os
 import time
 from contextlib import nullcontext
@@ -61,16 +62,26 @@ KCL_REL = 1e-9
 CHARGE_REL = 1e-9
 ENERGY_REL = 1e-12
 
-#: Tail percentile per workload, chosen so a run on a 2-core host
-#: leaves well over 10 samples beyond it.  When a run has fewer samples
-#: the highest percentile of TAIL_LADDER that still does is used.
-TAIL_PCT = {"serve-small": 99.0, "serve-bulk": 95.0, "crossbar-ir": 99.0}
-TAIL_LADDER = (99.9, 99.0, 95.0, 90.0, 50.0)
+#: Tail percentile.  A run leaves far more than 10 samples beyond p99,
+#: but one host stall of a few hundred ms, which all in-flight callers
+#: wait through together, moved serve-small's p99 by a third between
+#: runs.  When a slice has too few samples the highest percentile of
+#: TAIL_LADDER with 10 beyond it is used.
+TAIL_PCT = 95.0
+TAIL_LADDER = (90.0, 50.0)
 
-#: Operations completed in the timed window when peak RSS is read.  The
+#: The tail is taken per slice of this many seconds' worth of results,
+#: in finishing order, and averaged.  The host slows down for seconds at
+#: a time; pooled over a run, the top 5% of latencies all come from its
+#: slowest seconds, so the pooled p95 jumps with whether a run met such
+#: seconds at all.  The slice mean moves with how much of the run they
+#: took, as throughput does.
+TAIL_SLICE_S = 5.0
+
+#: Operations completed (warm-up included) when peak RSS is read.  The
 #: result cache grows with every request served, so reading it after a
 #: fixed amount of work keeps the figure independent of throughput.
-RSS_AFTER = {"serve-small": 2048, "serve-bulk": 384, "crossbar-ir": 512}
+RSS_AFTER = {"serve-small": 2048, "serve-bulk": 384}
 
 #: Which layers each workload's timed window crosses (the rest it
 #: bypasses).
@@ -78,7 +89,6 @@ LAYERS = {
     "serve-small": ("request", "serve.server", "analysis.planner", "spec",
                     "core", "engine"),
     "serve-bulk": ("request", "serve.cluster", "analysis.planner", "engine"),
-    "crossbar-ir": ("crossbar",),
 }
 ALL_LAYERS = ("request", "serve.server", "serve.cluster", "analysis.planner",
               "spec", "core", "engine", "crossbar")
@@ -90,7 +100,6 @@ NOTES = {
     "serve-bulk": "never reads the result cache (unique operands, cache "
                   "writes only); no spec derivation (no overrides); the "
                   "traced run probes the crossbar layer outside the window",
-    "crossbar-ir": "touches no serve, request, planner or engine layer",
 }
 
 
@@ -235,13 +244,10 @@ def evaluate_references(rec: Optional[Recorder]) -> List[int]:
     api.table2 spans)."""
     refs = []
     for point in wl.OVERRIDE_POINTS:
-        if rec is None:
-            result = api.table2(spec=TABLE1.derive(point))
-        else:
-            with rec.span("TechSpec.derive"):
-                spec = TABLE1.derive(point)
-            with rec.span("api.table2"):
-                result = api.table2(spec=spec)
+        with _span(rec, "TechSpec.derive"):
+            spec = TABLE1.derive(point)
+        with _span(rec, "api.table2"):
+            result = api.table2(spec=spec)
         refs.append(table2_checksum(result))
     return refs
 
@@ -274,27 +280,18 @@ class Replay:
         members = self._groups.pop(key)
         kernel, width = wl.FAMILIES[key[0]]
         rec = self.rec
-        if rec is None:
-            merged, sizes = coalesce_operand_batches(
-                [m[0].operands for m in members])
-            batch = run_kernel(resolve_kernel(kernel, width), merged,
-                               backend=key[1], spec=TABLE1)
-            parts = batch.split(sizes)
-            served = [{g: tuple(p.word(g).tolist()) for g in p.word_outputs}
-                      for p in parts]
-        else:
-            with rec.span("engine.replay"):
-                with rec.span("coalesce_operand_batches"):
-                    merged, sizes = coalesce_operand_batches(
-                        [m[0].operands for m in members])
-                with rec.span("run_kernel"):
-                    batch = run_kernel(resolve_kernel(kernel, width), merged,
-                                       backend=key[1], spec=TABLE1)
-                with rec.span("BatchResult.split"):
-                    parts = batch.split(sizes)
-                with rec.span("BatchResult.word"):
-                    served = [{g: tuple(p.word(g).tolist())
-                               for g in p.word_outputs} for p in parts]
+        with _span(rec, "engine.replay"):
+            with _span(rec, "coalesce_operand_batches"):
+                merged, sizes = coalesce_operand_batches(
+                    [m[0].operands for m in members])
+            with _span(rec, "run_kernel"):
+                batch = run_kernel(resolve_kernel(kernel, width), merged,
+                                   backend=key[1], spec=TABLE1)
+            with _span(rec, "BatchResult.split"):
+                parts = batch.split(sizes)
+            with _span(rec, "BatchResult.word"):
+                served = [{g: tuple(p.word(g).tolist()) for g in p.word_outputs}
+                          for p in parts]
         self.calls += 1
         self.words += batch.words
         self.requests += len(members)
@@ -363,15 +360,13 @@ def registry_counts() -> Dict[str, float]:
     return counts
 
 
-# -- crossbar-ir -------------------------------------------------------------
+# -- crossbar probe ----------------------------------------------------------
 
 
 @dataclass
 class Solve:
     index: int
-    latency: float
-    write: bool
-    error: str = ""
+    error: str = ""      # '' when the solution passed its checks
 
 
 def check_solution(g: np.ndarray, rows: Dict[int, float],
@@ -413,45 +408,22 @@ def check_solution(g: np.ndarray, rows: Dict[int, float],
 
 
 def crossbar_run(tiles: List[np.ndarray], jobs: Iterator[wl.CrossbarJob],
-                 *, seconds: float = 0.0, count: int = 0,
-                 rec: Optional[Recorder] = None,
-                 rss: Optional[PeakRss] = None) -> Tuple[List[Solve], float]:
-    """Run jobs for *seconds* (or *count* jobs), checking each solution.
-
-    Returns the solves and the time spent inside the jobs (the checks
-    run between jobs and are excluded).
-    """
-    clock = time.perf_counter
+                 count: int, rec: Optional[Recorder] = None) -> List[Solve]:
+    """Run *count* jobs, checking each solution outside its span."""
     out: List[Solve] = []
-    busy = 0.0
-    deadline = clock() + seconds
-    while (len(out) < count) if count else (clock() < deadline):
-        if rss is not None:
-            rss.note(len(out))
-        job = next(jobs)
+    for job in itertools.islice(jobs, count):
         g = tiles[job.tile]
         rows, cols = job.drives()
-        started = clock()
-        if rec is None:
+        with _span(rec, "op", job.index):
             if job.write:
                 g[job.row, job.col] = wl.HRS if g[job.row, job.col] == wl.LRS else wl.LRS
-            solution = api.solve_crossbar(
-                conductances=g, row_drive=rows, col_drive=cols,
-                wire_resistance=wl.WIRE_RESISTANCE)
-        else:
-            with rec.span("op", op=job.index):
-                if job.write:
-                    g[job.row, job.col] = wl.HRS if g[job.row, job.col] == wl.LRS else wl.LRS
-                with rec.span("api.solve_crossbar.write" if job.write
-                              else "api.solve_crossbar.read"):
-                    solution = api.solve_crossbar(
-                        conductances=g, row_drive=rows, col_drive=cols,
-                        wire_resistance=wl.WIRE_RESISTANCE)
-        latency = clock() - started
-        busy += latency
-        out.append(Solve(job.index, latency, job.write,
-                         check_solution(g, rows, cols, solution)))
-    return out, busy
+            with _span(rec, "api.solve_crossbar.write" if job.write
+                       else "api.solve_crossbar.read"):
+                solution = api.solve_crossbar(
+                    conductances=g, row_drive=rows, col_drive=cols,
+                    wire_resistance=wl.WIRE_RESISTANCE)
+        out.append(Solve(job.index, check_solution(g, rows, cols, solution)))
+    return out
 
 
 # -- layer probes ------------------------------------------------------------
@@ -466,7 +438,11 @@ def workload_shapes(workload: str) -> List[Tuple[str, int, int]]:
 
 
 def probe_planner(workload: str, rec: Recorder) -> None:
-    """Cold ``plan_request`` once per distinct request shape."""
+    """Cold ``plan_request`` once per distinct request shape.
+
+    Run it after :func:`probe_compile`: pricing a plan resolves the
+    kernel, and a kernel compiled here would be counted as planning.
+    """
     for kernel, width, words in workload_shapes(workload):
         with rec.span("plan_request"):
             plan_request(kernel, width, words, spec=TABLE1)
@@ -555,16 +531,20 @@ def tree_peak_rss_mb() -> float:
     return total_kb / 1024
 
 
-def latency_stats(workload: str, latencies: List[float]
-                  ) -> Tuple[float, float, float, int]:
-    """(p50 ms, tail ms, tail percentile, samples beyond the tail)."""
-    data = np.sort(np.asarray(latencies))
-    n = data.size
-    pct = TAIL_PCT[workload]
-    for candidate in (pct,) + tuple(p for p in TAIL_LADDER if p < pct):
+def latency_stats(outcomes: List[Outcome], seconds: float) -> Dict[str, Any]:
+    """p50 over the window and the mean of the slices' tails, in ms."""
+    latencies = np.array([o.latency for o in
+                          sorted(outcomes, key=lambda o: o.finished)])
+    slices = np.array_split(latencies, max(1, round(seconds / TAIL_SLICE_S)))
+    n = min(len(s) for s in slices)
+    pct = TAIL_PCT
+    for candidate in (TAIL_PCT,) + TAIL_LADDER:
         if n * (1 - candidate / 100) >= 10:
             pct = candidate
             break
-    beyond = int(n - np.ceil(n * pct / 100))
-    return (float(np.percentile(data, 50)) * 1e3,
-            float(np.percentile(data, pct)) * 1e3, pct, beyond)
+    return {"latency_p50_ms": float(np.percentile(latencies, 50)) * 1e3,
+            "latency_tail_ms": float(np.mean(
+                [np.percentile(s, pct) for s in slices])) * 1e3,
+            "tail_pct": pct, "tail_slices": len(slices),
+            "tail_beyond": int(n - np.ceil(n * pct / 100)),
+            "samples": latencies.size}

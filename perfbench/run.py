@@ -2,10 +2,10 @@
 
 Run from the repository root::
 
-    python3 perfbench/run.py --workload serve-small --seed 1 --seconds 15 --trace 0
+    python3 perfbench/run.py --workload serve-small --seed 1 --seconds 30 --trace 0
     python3 perfbench/run.py --accounting --seconds 3
 
-Workloads (``BENCHMARK.json`` registers the first two and says why):
+Workloads (``BENCHMARK.json`` registers both and says why):
 
 ``serve-small``
     One ``KernelServer`` (``api.connect`` defaults, ``workers`` = cores)
@@ -16,19 +16,19 @@ Workloads (``BENCHMARK.json`` registers the first two and says why):
 ``serve-bulk``
     A ``ClusterServer`` (``shards`` = cores, ``workers=1``) and 4
     callers sending unique 4096-word requests over the same families.
-``crossbar-ir``
-    One caller solving 8 seeded 64x64 tiles with 5-ohm wires through
-    ``api.solve_crossbar``; every 8th job programs one cell first.  Not
-    registered: too unsteady on a shared host (see ``crossbar_ir.py``).
-    Its per-layer metrics come from a probe in every traced serve run.
+The electrical path (``api.solve_crossbar``) is not a workload: it is
+too unsteady on a shared host (see ``crossbar_ir.py``).  Its per-layer
+metrics come from a probe in every traced run.
 
 ``--trace 0`` measures the end-to-end metrics: set-up time (median of
-several fresh interpreters reaching their first result), throughput,
-median and tail latency, and peak resident memory.  The serve callers
-run a warm-up first and go on into the timed window without a pause.
-``--trace 1`` runs an untraced and a traced window and reports the
-per-layer metrics, derived from spans the benchmark records around the
-public calls it makes (written to ``perfbench/out/``).  Every result of
+several fresh interpreters reaching their first result, half of them
+before the serve window and half after), throughput, median latency,
+tail latency (p95 per 5 s slice of results, averaged) and peak
+resident memory.  The serve callers run a warm-up first and go on into
+the timed window without a pause.  ``--trace 1`` runs an untraced and
+a traced window, each half as long, and reports the per-layer metrics,
+derived from spans the benchmark records around the public calls it
+makes (written to ``perfbench/out/``).  Every result of
 every run is checked; the last stdout line is the JSON result.
 ``--accounting`` runs every workload both ways and prints each metric
 with its unit, the operation counts, and which layers each workload
@@ -51,10 +51,12 @@ from typing import Any, Dict, List
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 OUT = HERE / "out"
-WORKLOADS = ("serve-small", "serve-bulk", "crossbar-ir")
+WORKLOADS = ("serve-small", "serve-bulk")
 
 #: Fresh interpreters timed per run for setup_s (the median is reported).
-SETUP_PROBES = 7
+#: The host's speed shifts for seconds at a time, so half run before the
+#: serve window and half after it, at least its length apart.
+SETUP_PROBES = 10
 PROBE_TIMEOUT_S = 60
 PINNED_ENV = {"PYTHONHASHSEED": "0", "OPENBLAS_NUM_THREADS": "1"}
 
@@ -103,34 +105,27 @@ def setup_probe(workload: str, seed: int) -> int:
     import workloads as wl
     from repro import api
 
-    if workload == "crossbar-ir":
-        tiles = wl.crossbar_tiles(seed)
-        solves, _ = drive.crossbar_run(tiles, wl.crossbar_stream(seed), count=1)
-        print("ready", flush=True)
-        problem = solves[0].error
-    else:
-        item = next(i for i in wl.STREAMS[workload](seed) if i.kind == "kernel")
-        server = drive.make_server(drive.server_options(workload))
+    item = next(i for i in wl.STREAMS[workload](seed) if i.kind == "kernel")
+    server = drive.make_server(drive.server_options(workload))
 
-        async def first() -> Any:
-            async with server:
-                result = await server.submit(api.request(**item.request_kwargs()))
-                print("ready", flush=True)
-                return result
+    async def first() -> Any:
+        async with server:
+            result = await server.submit(api.request(**item.request_kwargs()))
+            print("ready", flush=True)
+            return result
 
-        result = asyncio.run(first())
-        problem = "" if result.outputs else "first result has no outputs"
-    if problem:
-        print(problem, file=sys.stderr)
-    return 1 if problem else 0
+    if asyncio.run(first()).outputs:
+        return 0
+    print("first result has no outputs", file=sys.stderr)
+    return 1
 
 
-def measure_setup(workload: str, seed: int) -> List[float]:
-    """Time SETUP_PROBES fresh interpreters to their first result."""
+def measure_setup(workload: str, seed: int, probes: int) -> List[float]:
+    """Time *probes* fresh interpreters to their first result."""
     times = []
     command = [sys.executable, str(HERE / "run.py"), "--setup-probe",
                "--workload", workload, "--seed", str(seed)]
-    for _ in range(SETUP_PROBES):
+    for _ in range(probes):
         started = time.perf_counter()
         proc = subprocess.Popen(command, stdout=subprocess.PIPE, cwd=ROOT,
                                 text=True)
@@ -158,6 +153,7 @@ def measure_setup(workload: str, seed: int) -> List[float]:
 
 def run(workload: str, seed: int, seconds: float, trace: int) -> Dict[str, Any]:
     import drive
+    import serve_run
     import workloads as wl
 
     report: Dict[str, Any] = {
@@ -167,15 +163,12 @@ def run(workload: str, seed: int, seconds: float, trace: int) -> Dict[str, Any]:
         "host.calib_ms": drive.calibrate(),
     }
     if trace == 0:
-        report["setup_probes_s"] = measure_setup(workload, seed)
-    if workload == "crossbar-ir":
-        import crossbar_ir
-        report.update(crossbar_ir.run(seed, seconds, trace))
-    else:
-        import serve_run
-        report.update(serve_run.run(workload, seed, seconds, trace))
+        before = measure_setup(workload, seed, SETUP_PROBES // 2)
+    report.update(serve_run.run(workload, seed, seconds, trace))
     metrics: Dict[str, float] = {}
     if trace == 0:
+        after = measure_setup(workload, seed, SETUP_PROBES - len(before))
+        report["setup_probes_s"] = before + after
         metrics["setup_s"] = statistics.median(report["setup_probes_s"])
         for name in ("throughput_ops", "latency_p50_ms", "latency_tail_ms",
                      "peak_rss_mb"):
@@ -209,8 +202,9 @@ def print_report(report: Dict[str, Any]) -> None:
     for name, value in report["metrics"].items():
         note = ""
         if name == "latency_tail_ms":
-            note = (f"  (p{report['tail_pct']:g} of {report['samples']} "
-                    f"samples, {report['tail_beyond']} beyond)")
+            note = (f"  (mean p{report['tail_pct']:g} of "
+                    f"{report['tail_slices']} slices of {report['samples']} "
+                    f"samples, >= {report['tail_beyond']} beyond in each)")
         print(f"  {name:28s} {value:>16.6g} {units[name]}{note}")
     crossed = drive.LAYERS[workload]
     bypassed = [layer for layer in drive.ALL_LAYERS if layer not in crossed]

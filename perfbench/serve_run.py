@@ -14,14 +14,10 @@ import workloads as wl
 from spans import Recorder
 
 
-def _end_to_end(workload: str, window: List[drive.Outcome], seconds: float
-                ) -> Dict[str, Any]:
+def _end_to_end(window: List[drive.Outcome], seconds: float) -> Dict[str, Any]:
     served = [o for o in window if not o.error]
-    p50, tail, pct, beyond = drive.latency_stats(
-        workload, [o.latency for o in served])
-    return {"throughput_ops": len(served) / seconds, "latency_p50_ms": p50,
-            "latency_tail_ms": tail, "tail_pct": pct, "tail_beyond": beyond,
-            "samples": len(served)}
+    return dict(drive.latency_stats(served, seconds),
+                throughput_ops=len(served) / seconds)
 
 
 def run(workload: str, seed: int, seconds: float, trace: int) -> Dict[str, Any]:
@@ -30,10 +26,12 @@ def run(workload: str, seed: int, seconds: float, trace: int) -> Dict[str, Any]:
     warmup = drive.WARMUP_S[workload]
     small = workload == "serve-small"
     rec = Recorder() if trace else None
+    # A traced run shares its time between an untraced and a traced window.
+    window = seconds / 2 if trace else seconds
     solves: List[drive.Solve] = []
     if rec is not None:
-        drive.probe_planner(workload, rec)
         drive.probe_compile(rec)
+        drive.probe_planner(workload, rec)
         crossbar_layers, solves = crossbar_ir.probe(seed, rec)
     eval_refs = drive.evaluate_references(rec) if small else []
     server = drive.make_server(options)
@@ -44,13 +42,13 @@ def run(workload: str, seed: int, seconds: float, trace: int) -> Dict[str, Any]:
         state: Dict[str, Any] = {}
         async with server:
             state["all_a"], state["a"] = await drive.serve_window(
-                server, items, callers, warmup, seconds, rss=rss)
+                server, items, callers, warmup, window, rss=rss)
             if rec is None:
                 return state
             state["before"] = drive.registry_counts()
             started = time.perf_counter()
             state["all_b"], state["b"] = await drive.serve_window(
-                server, items, callers, warmup, seconds, rec=rec)
+                server, items, callers, warmup, window, rec=rec)
             state["wall_b"] = time.perf_counter() - started
             state["after"] = drive.registry_counts()
         return state
@@ -67,7 +65,7 @@ def run(workload: str, seed: int, seconds: float, trace: int) -> Dict[str, Any]:
         "windows": {"a": len(state["a"])},
     }
     if rec is None:
-        report.update(_end_to_end(workload, state["a"], seconds))
+        report.update(_end_to_end(state["a"], window))
         report["peak_rss_mb"] = rss.result()
         return report
     report["windows"]["b"] = len(state["b"])

@@ -1,4 +1,4 @@
-"""Seeded input generators for the three benchmark workloads.
+"""Seeded input generators for the benchmark workloads and the crossbar probe.
 
 The benchmark owns its inputs: nothing here imports ``repro``, so a
 change under ``src/`` cannot reshape a workload.  Every stream is a
@@ -38,6 +38,7 @@ BULK_WORDS = 4096
 TILES = 8
 TILE_SIZE = 64
 WRITE_EVERY = 8             # every 8th crossbar job programs a cell first
+CROSSBAR_PROBE_JOBS = 256   # jobs in a traced run's crossbar probe
 LRS, HRS = 1e-4, 1e-6       # junction conductances (S): 10 kOhm / 1 MOhm
 DRIVE_V = 1.0
 WIRE_RESISTANCE = 5.0
@@ -191,7 +192,7 @@ def crossbar_tiles(seed: int) -> List[np.ndarray]:
 
 
 def crossbar_stream(seed: int) -> Iterator[CrossbarJob]:
-    """crossbar-ir: 7 in 8 jobs re-drive an unchanged tile (a
+    """The crossbar probe's jobs: 7 in 8 re-drive an unchanged tile (a
     factorization-cache read), every 8th programs one cell first."""
     rng = np.random.default_rng([seed, 4])
     index = 0
@@ -210,24 +211,27 @@ def crossbar_stream(seed: int) -> Iterator[CrossbarJob]:
 STREAMS = {
     "serve-small": serve_small_stream,
     "serve-bulk": serve_bulk_stream,
-    "crossbar-ir": crossbar_stream,
 }
 
 #: How many leading stream items :func:`fingerprint` digests.
-FINGERPRINT_ITEMS = {"serve-small": 4096, "serve-bulk": 64, "crossbar-ir": 1024}
+FINGERPRINT_ITEMS = {"serve-small": 4096, "serve-bulk": 64}
 
 
 def fingerprint(workload: str, seed: int) -> str:
-    """Digest of the workload's constants and a fixed stream prefix."""
+    """Digest of the workload's constants, a fixed stream prefix and
+    the crossbar probe's inputs."""
     digest = hashlib.blake2b(digest_size=16)
     constants = (workload, seed, FAMILIES, OVERRIDE_POINTS, ZIPF_S,
                  SMALL_EVALUATE_EVERY, SMALL_MAX_WORDS, BULK_WORDS, TILES,
-                 TILE_SIZE, WRITE_EVERY, LRS, HRS, DRIVE_V, WIRE_RESISTANCE)
+                 TILE_SIZE, WRITE_EVERY, CROSSBAR_PROBE_JOBS, LRS, HRS,
+                 DRIVE_V, WIRE_RESISTANCE)
     digest.update(repr(constants).encode())
-    if workload == "crossbar-ir":
-        for tile in crossbar_tiles(seed):
-            digest.update(tile.tobytes())
     stream = STREAMS[workload](seed)
     for _ in range(FINGERPRINT_ITEMS[workload]):
         digest.update(next(stream).encode())
+    for tile in crossbar_tiles(seed):
+        digest.update(tile.tobytes())
+    jobs = crossbar_stream(seed)
+    for _ in range(CROSSBAR_PROBE_JOBS):
+        digest.update(next(jobs).encode())
     return digest.hexdigest()
