@@ -20,9 +20,7 @@ Table 1 device constants.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
-
-import networkx as nx
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..devices.technology import MEMRISTOR_5NM, MemristorTechnology
 from ..errors import CrossbarError
@@ -98,19 +96,9 @@ class ProgrammableFabric:
             )
         self.rows = rows
         self.cols = cols
+        self._diagonals = diagonals
+        self._cells = frozenset((r, c) for r in range(rows) for c in range(cols))
         self.technology = technology
-        self.graph = nx.Graph()
-        for r in range(rows):
-            for c in range(cols):
-                self.graph.add_node((r, c))
-        for r in range(rows):
-            for c in range(cols):
-                if r + 1 < rows:
-                    self.graph.add_edge((r, c), (r + 1, c))
-                if c + 1 < cols:
-                    self.graph.add_edge((r, c), (r, c + 1))
-                if diagonals and r + 1 < rows and c + 1 < cols:
-                    self.graph.add_edge((r, c), (r + 1, c + 1))
         self._used_edges: set = set()
 
     # -- geometry ---------------------------------------------------------
@@ -118,10 +106,12 @@ class ProgrammableFabric:
     @property
     def switch_count(self) -> int:
         """Total programmable switches in the fabric."""
-        return self.graph.number_of_edges()
+        rows, cols = self.rows, self.cols
+        diagonal = (rows - 1) * (cols - 1) if self._diagonals else 0
+        return rows * (cols - 1) + (rows - 1) * cols + diagonal
 
     def _check_cell(self, cell: Cell) -> None:
-        if cell not in self.graph:
+        if cell not in self._cells:
             raise CrossbarError(f"cell {cell} outside the fabric")
 
     @staticmethod
@@ -130,26 +120,62 @@ class ProgrammableFabric:
 
     # -- routing -------------------------------------------------------------
 
-    def _free_subgraph(self) -> nx.Graph:
-        free = nx.Graph()
-        free.add_nodes_from(self.graph.nodes)
-        for a, b in self.graph.edges:
-            if self._edge_key(a, b) not in self._used_edges:
-                free.add_edge(a, b)
-        return free
+    def _grow(self, level: List[Cell], seen: Dict[Cell, Optional[Cell]],
+              other: Dict[Cell, Optional[Cell]]
+              ) -> Tuple[List[Cell], Optional[Cell]]:
+        """Advance one search frontier a level over free switches, in the
+        fabric's wiring order (diagonals join (r, c) and (r+1, c+1));
+        stop where it meets the *other* search, returning that cell."""
+        fringe: List[Cell] = []
+        for cell in level:
+            r, c = cell
+            around = [(r - 1, c), (r, c - 1), (r + 1, c), (r, c + 1)]
+            if self._diagonals:
+                around = [(r - 1, c - 1), *around, (r + 1, c + 1)]
+            for nxt in around:
+                if (nxt not in self._cells
+                        or self._edge_key(cell, nxt) in self._used_edges):
+                    continue
+                if nxt not in seen:
+                    seen[nxt] = cell
+                    fringe.append(nxt)
+                if nxt in other:
+                    return fringe, nxt
+        return fringe, None
+
+    def _shortest_free_path(self, source: Cell, sink: Cell
+                            ) -> Optional[List[Cell]]:
+        """Bidirectional breadth-first search over the free switches,
+        always growing the smaller frontier; None if the sink is cut off."""
+        pred: Dict[Cell, Optional[Cell]] = {source: None}
+        succ: Dict[Cell, Optional[Cell]] = {sink: None}
+        forward, reverse = [source], [sink]
+        meet: Optional[Cell] = None
+        while forward and reverse and meet is None:
+            if len(forward) <= len(reverse):
+                forward, meet = self._grow(forward, pred, succ)
+            else:
+                reverse, meet = self._grow(reverse, succ, pred)
+        if meet is None:
+            return None
+        path: List[Cell] = []  # meet back to source, flipped, then to sink
+        for links, cell in ((pred, meet), (succ, succ[meet])):
+            path.reverse()
+            while cell is not None:
+                path.append(cell)
+                cell = links[cell]
+        return path
 
     def route_net(self, net: Net) -> Optional[Route]:
         """Route one net over currently-free switches; None if blocked."""
         self._check_cell(net.source)
         self._check_cell(net.sink)
-        free = self._free_subgraph()
-        try:
-            path = nx.shortest_path(free, net.source, net.sink)
-        except nx.NetworkXNoPath:
+        path = self._shortest_free_path(net.source, net.sink)
+        if path is None:
             return None
         for a, b in zip(path, path[1:]):
             self._used_edges.add(self._edge_key(a, b))
-        return Route(net=net, path=list(path))
+        return Route(net=net, path=path)
 
     def route_all(self, nets: Sequence[Net], order: str = "short-first") -> RoutingResult:
         """Route a net list with switch-disjoint paths.

@@ -50,14 +50,11 @@ from typing import (
 )
 
 from ..errors import DeadlineExceeded, ServeError, ServerOverloaded
-from .cluster import ClusterServer
+from .cluster import AnyServer, ClusterServer, _make_server
 from .request import ServeRequest, ServeResult
 from .server import KernelServer
 
 __all__ = ["Client", "JsonlClient", "ServerClient", "connect"]
-
-#: Either server core the facade can front in-process.
-AnyServer = Union[KernelServer, ClusterServer]
 
 
 @runtime_checkable
@@ -405,7 +402,7 @@ def _result_from_wire(
 
 
 def connect(
-    target: Union[str, KernelServer, ClusterServer] = "local",
+    target: Union[str, AnyServer] = "local",
     *,
     shards: int = 1,
     replicas: int = 1,
@@ -422,22 +419,14 @@ def connect(
     keyword options go to the underlying server(s) verbatim
     (``max_batch_size``, ``queue_limit``, ``spec``, ...).
     """
-    if isinstance(target, (KernelServer, ClusterServer)):
-        if server_options or shards != 1 or replicas != 1 or quota is not None:
-            raise ServeError(
-                "pass either a server instance or server options, not both")
-        return ServerClient(target)
-    clustered = shards != 1 or replicas != 1 or quota is not None
-    if target == "local" and not clustered:
-        return ServerClient(KernelServer(**server_options))
-    if target in ("local", "cluster"):
-        return ServerClient(ClusterServer(
-            shards=shards, replicas=replicas, quota=quota, **server_options))
     if target == "jsonl":
-        if clustered:
-            server_options.update(
-                shards=shards, replicas=replicas, quota=quota)
-        return JsonlClient(**server_options)
+        return JsonlClient(shards=shards, replicas=replicas, quota=quota,
+                           **server_options)
+    if target in ("local", "cluster") or isinstance(
+            target, (KernelServer, ClusterServer)):
+        return ServerClient(_make_server(
+            target, shards=shards, replicas=replicas, quota=quota,
+            **server_options))
     raise ServeError(
         f"unknown connect target {target!r}; expected 'local', 'cluster', "
         "'jsonl', or a server instance")

@@ -2,11 +2,12 @@
 
 Dataflow (DESIGN.md section 12)::
 
-    submit() ──▶ quota ──▶ auto-route ──▶ shared cache ──▶ router ──▶ shard 0 (KernelServer)
-                   │ over      │ plan         │ hit           │  hash  shard 1 (KernelServer)
-                   ▼           ▼              ▼               │  slot    ⋮ × replicas
-              ServerOverloaded concrete    cached result      └─▶ round-robin in slot
-              (shed, counted)  backend
+    submit() ──▶ quota ──▶ admission ──▶ router ──▶ shard 0 queue (KernelServer)
+                   │ over   spec, auto,     │  hash  shard 1 queue (KernelServer)
+                   ▼        key, cache      │  slot    ⋮ × replicas
+              ServerOverloaded  │ hit       └─▶ round-robin in slot
+              (shed, counted)   ▼
+                           cached result
 
 A :class:`ClusterServer` runs ``shards × replicas``
 :class:`~repro.serve.server.KernelServer` instances behind a
@@ -14,16 +15,18 @@ A :class:`ClusterServer` runs ``shards × replicas``
 batching identity ``(kernel, width, spec digest)``, so batchable
 traffic keeps landing on the same shard and keeps coalescing there —
 sharding multiplies worker pools and batch windows without giving up
-the PR 5 dynamic-batching win.  Everything a single server guarantees
-still holds per request, because each shard *is* a single server: the
-deadline, retry, backpressure and billing machinery is reused, not
-reimplemented.
+the dynamic-batching win.  The front door runs a single server's
+admission step (:class:`~repro.serve.server._Admission`) once per
+request and queues the admitted request on the picked shard.  Shards
+share that instance and keep no spec memo, auto-router or cache of
+their own; their deadline, retry, backpressure and billing machinery
+applies per request unchanged.
 
 Cluster-level additions:
 
-* **Shared result cache** — one digest-keyed LRU spanning every shard
-  (per-shard caches are disabled); a repeat submission is served at the
-  front door no matter which shard or replica computed it first.
+* **Shared result cache** — admission's one LRU spans every shard; a
+  repeat submission is served at the front door no matter which shard
+  or replica computed it first.
 * **Admission control** — ``quota`` bounds each tenant's in-flight
   requests; a tenant at its quota is shed with
   :class:`~repro.errors.ServerOverloaded` *before* admission, so one
@@ -47,8 +50,6 @@ from __future__ import annotations
 
 import asyncio
 import time
-from collections import OrderedDict
-from threading import Lock
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Type, Union
 
 from ..errors import ServeError, ServerOverloaded, TransientExecutorError
@@ -59,13 +60,7 @@ from ..obs.registry import get_registry
 from ..spec import TABLE1, TechSpec
 from .request import ServeRequest, ServeResult
 from .router import DEFAULT_VNODES, ShardRouter
-from .server import (
-    _REQUESTS,
-    AutoRouter,
-    KernelServer,
-    RunBatchFn,
-    SpecResolver,
-)
+from .server import _REQUESTS, KernelServer, RunBatchFn, _Admission, _Submitter
 
 __all__ = ["ClusterServer"]
 
@@ -86,17 +81,17 @@ _SHED = {
 }
 
 
-class ClusterServer:
+class ClusterServer(_Submitter):
     """N sharded :class:`KernelServer` instances behind one ``submit()``.
 
     ``shards``/``replicas``/``vnodes`` shape the
     :class:`~repro.serve.router.ShardRouter`; ``quota`` is the
     per-tenant in-flight admission bound (``None`` = unlimited);
-    ``cache_capacity`` sizes the *shared* result cache (the per-shard
-    caches are disabled in favour of it).  Every other knob mirrors
-    :class:`KernelServer` and applies per shard — ``queue_limit`` is
-    each shard's backpressure bound, ``workers`` each shard's pool, so
-    total concurrency scales with the shard count.
+    ``cache_capacity`` sizes the one result cache the shards share.
+    Every other knob mirrors :class:`KernelServer` and applies per
+    shard — ``queue_limit`` is each shard's backpressure bound,
+    ``workers`` each shard's pool, so total concurrency scales with the
+    shard count.
 
     The submit/submit_many/stats/drain surface matches
     :class:`KernelServer`, which is what lets the
@@ -130,7 +125,11 @@ class ClusterServer:
         self.quota = None if quota is None else int(quota)
         self.cache_capacity = int(cache_capacity)
         self.telemetry = bool(telemetry)
-        self._flight = flight if flight is not None else get_flight_recorder()
+        # The admission lock also guards the tenant counters and the
+        # stats() snapshot against the telemetry HTTP thread.
+        self._admission = _Admission(
+            spec, cache_capacity=self.cache_capacity, telemetry=self.telemetry,
+            flight=flight if flight is not None else get_flight_recorder())
         self._servers: List[KernelServer] = [
             KernelServer(
                 max_batch_size=max_batch_size,
@@ -139,25 +138,20 @@ class ClusterServer:
                 workers=workers,
                 retries=retries,
                 backoff_s=backoff_s,
-                cache_capacity=0,  # the shared front-door cache replaces these
+                cache_capacity=cache_capacity,
                 spec=spec,
                 run_batch=run_batch,
                 transient=transient,
                 telemetry=telemetry,
-                flight=self._flight,
+                flight=self._admission.flight,
             )
             for _ in range(self.router.servers)
         ]
-        self._specs = SpecResolver(spec)
-        self._auto = AutoRouter()
-        self._cache: "OrderedDict[str, ServeResult]" = OrderedDict()
+        for server in self._servers:
+            server._behind(self._admission)
         self._tenant_inflight: Dict[str, int] = {}
         self._draining = False
         self._closed = False
-        # Guards the shared cache, tenant counters, and the stats()
-        # snapshot against the telemetry HTTP thread (same contract as
-        # KernelServer.stats).
-        self._lock = Lock()
         self._routed: Dict[int, Any] = {}
         self._depth: Dict[int, Any] = {}
 
@@ -178,7 +172,7 @@ class ClusterServer:
 
     @property
     def spec(self) -> TechSpec:
-        return self._specs.base
+        return self._admission.specs.base
 
     def describe(self) -> str:
         return (f"ClusterServer({self.router.describe()}, "
@@ -217,8 +211,9 @@ class ClusterServer:
         if self._draining or self._closed:
             raise ServeError("cluster is draining; not accepting requests")
         tenant = request.tenant or "default"
+        lock = self._admission.lock
         if self.quota is not None:
-            with self._lock:
+            with lock:
                 inflight = self._tenant_inflight.get(tenant, 0)
                 if inflight >= self.quota:
                     admitted = False
@@ -230,69 +225,36 @@ class ClusterServer:
                            f"tenant {tenant!r} at quota "
                            f"({self.quota} in flight); retry later")
         try:
-            return await self._submit_admitted(request)
+            return await self._route(request)
         finally:
             if self.quota is not None:
-                with self._lock:
+                with lock:
                     remaining = self._tenant_inflight.get(tenant, 1) - 1
                     if remaining <= 0:
                         self._tenant_inflight.pop(tenant, None)
                     else:
                         self._tenant_inflight[tenant] = remaining
 
-    async def _submit_admitted(self, request: ServeRequest) -> ServeResult:
-        accepted_at = time.perf_counter() if self.telemetry else 0.0
-        # Same ordering contract as KernelServer.submit: resolve the
-        # spec and the "auto" backend BEFORE the cache probe, so auto
-        # and explicit submissions of identical work share one shared
-        # cache entry and one shard-side batch identity.
-        spec = self._specs.resolve(request.overrides)
-        request = self._auto.resolve(request, spec)
-        key = f"{request.digest}:{spec.digest}"
-        cached = self._cache_get(key)
-        if cached is not None:
+    async def _route(self, request: ServeRequest) -> ServeResult:
+        """Admit *request*, then queue it on the shard its batching
+        identity hashes to."""
+        admitted = self._admission.admit(request)
+        if isinstance(admitted, ServeResult):
             _CACHE_HITS.inc()
-            _REQUESTS["cached"].inc()
-            trace_id = request.trace_id
-            if self.telemetry:
-                trace = new_trace_context()
-                trace_id = request.trace_id or trace.trace_id
-                self._flight.record(FlightRecord(
-                    request_id=request.id or trace.request_id,
-                    trace_id=trace_id,
-                    kernel=request.kernel or request.kind,
-                    backend=request.backend, status="cached", cache_hit=True,
-                    accepted_at=accepted_at,
-                    finished_at=time.perf_counter(), closed=True))
-            return cached.for_request(request.id, cached=True,
-                                      trace_id=trace_id)
-
+            return admitted
+        request = admitted.request
         shard, replica = self.router.pick(
-            request.kernel or request.kind, request.width, spec.digest)
+            request.kernel or request.kind, request.width,
+            admitted.spec.digest)
         server = self._servers[self.router.server_index(shard, replica)]
         self._routed_counter(shard).inc()
         try:
-            result = await server.submit(request)
+            return await server._enqueue(admitted)
         except ServerOverloaded:
             _SHED["overload"].inc()
             raise
         finally:
             self._depth_gauge(shard).set(server.queue_depth)
-        if not result.cached:
-            self._cache_put(key, result)
-        return result
-
-    async def submit_many(
-        self,
-        requests: Sequence[ServeRequest],
-        *,
-        return_exceptions: bool = False,
-    ) -> List[Union[ServeResult, BaseException]]:
-        """Submit a request mix concurrently, preserving order."""
-        return await asyncio.gather(
-            *(self.submit(r) for r in requests),
-            return_exceptions=return_exceptions,
-        )
 
     # -- internals -----------------------------------------------------------
 
@@ -309,25 +271,9 @@ class ClusterServer:
                 kernel=request.kernel or request.kind,
                 backend=request.backend, status="rejected", error=message,
                 accepted_at=now, finished_at=now, closed=True)
-            self._flight.record(flight)
+            self._admission.flight.record(flight)
             _LOG.warning("shed (%s): %s", reason, flight.describe())
         raise ServerOverloaded(message)
-
-    def _cache_get(self, key: str) -> Optional[ServeResult]:
-        with self._lock:
-            result = self._cache.get(key)
-            if result is not None:
-                self._cache.move_to_end(key)
-            return result
-
-    def _cache_put(self, key: str, result: ServeResult) -> None:
-        if self.cache_capacity < 1:
-            return
-        with self._lock:
-            self._cache[key] = result
-            self._cache.move_to_end(key)
-            while len(self._cache) > self.cache_capacity:
-                self._cache.popitem(last=False)
 
     def _routed_counter(self, shard: int) -> Any:
         child = self._routed.get(shard)
@@ -349,12 +295,12 @@ class ClusterServer:
         """Aggregated operational stats (the ``/healthz`` extras).
 
         One consistent cut of the cluster-level fields under the
-        cluster lock, plus each shard's own locked snapshot.
+        admission lock, plus each shard's own locked snapshot.
         """
         shard_stats = [server.stats() for server in self._servers]
-        with self._lock:
+        with self._admission.lock:
             tenants = dict(self._tenant_inflight)
-            cache_entries = len(self._cache)
+            cache_entries = len(self._admission.cache)
             draining = self._draining
             closed = self._closed
         return {
@@ -373,3 +319,31 @@ class ClusterServer:
             "closed": closed,
             "shard_stats": shard_stats,
         }
+
+
+#: Either server core: what ``api.connect`` and ``serve_jsonl`` front.
+AnyServer = Union[KernelServer, ClusterServer]
+
+
+def _make_server(
+    target: Union[str, AnyServer] = "local",
+    *,
+    shards: int = 1,
+    replicas: int = 1,
+    quota: Optional[int] = None,
+    **server_options: Any,
+) -> AnyServer:
+    """The one KernelServer-or-ClusterServer decision behind
+    ``api.connect`` and ``serve_jsonl``: an existing server as is (it
+    takes no options), else a :class:`ClusterServer` for ``"cluster"``
+    or any non-default cluster knob, else a :class:`KernelServer`."""
+    clustered = shards != 1 or replicas != 1 or quota is not None
+    if not isinstance(target, str):
+        if server_options or clustered:
+            raise ServeError(
+                "pass either a server instance or server options, not both")
+        return target
+    if target == "cluster" or clustered:
+        return ClusterServer(shards=shards, replicas=replicas, quota=quota,
+                             **server_options)
+    return KernelServer(**server_options)

@@ -21,19 +21,15 @@ from __future__ import annotations
 import asyncio
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, IO, Mapping, Optional, Union
+from typing import Any, Dict, IO, Mapping, Optional
 
-from ..errors import DeadlineExceeded, ReproError, ServeError, ServerOverloaded
+from ..errors import DeadlineExceeded, ReproError, ServerOverloaded
 from ..obs.httpexport import TelemetryHTTPServer
 from ..obs.logsetup import get_logger
-from .cluster import ClusterServer
+from .cluster import AnyServer, _make_server
 from .request import request_from_dict, result_to_dict
-from .server import KernelServer
 
 __all__ = ["ServeStats", "serve_jsonl"]
-
-#: Either server core the frontend can pump requests into.
-AnyServer = Union[KernelServer, ClusterServer]
 
 _LOG = get_logger("serve.frontend")
 
@@ -147,17 +143,10 @@ def serve_jsonl(
     for the duration, exposing ``/metrics`` + ``/healthz`` + ``/flight``
     (``0`` = any free port).  Returns the status tally.
     """
-    clustered = shards != 1 or replicas != 1 or quota is not None
-    if server is not None and (server_options or clustered):
-        raise ServeError("pass either server= or server options, not both")
+    instance = _make_server("local" if server is None else server,
+                            shards=shards, replicas=replicas, quota=quota,
+                            **server_options)
     stats = ServeStats()
-    if server is not None:
-        instance: AnyServer = server
-    elif clustered:
-        instance = ClusterServer(shards=shards, replicas=replicas,
-                                 quota=quota, **server_options)
-    else:
-        instance = KernelServer(**server_options)
     asyncio.run(_pump(in_stream, out_stream, instance, stats,
                       metrics_port=metrics_port))
     return stats

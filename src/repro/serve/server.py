@@ -2,11 +2,16 @@
 
 Dataflow (DESIGN.md section 8)::
 
-    submit() ──▶ digest cache ──▶ bounded queue ──▶ batcher ──▶ worker pool
-                    │  hit               │ full         │ window      │
-                    ▼                    ▼              ▼             ▼
-                 cached result    ServerOverloaded   coalesce     engine batch
-                                                     by key     ──▶ split ──▶ futures
+    submit() ──▶ admission ──▶ bounded queue ──▶ batcher ──▶ worker pool
+                 spec, auto,        │ full         │ window      │
+                 key, cache         ▼              ▼             ▼
+                    │ hit    ServerOverloaded   coalesce     engine batch
+                    ▼                           by key     ──▶ split ──▶ futures
+                 cached result
+
+* **Admission** — :class:`_Admission` resolves the spec and the
+  ``"auto"`` backend, computes the result key once and probes the
+  result cache, in that order; a cluster and its shards share one.
 
 * **Backpressure** — the request queue is bounded (``queue_limit``);
   a full queue rejects the submission with
@@ -27,8 +32,9 @@ Dataflow (DESIGN.md section 8)::
   :class:`~repro.errors.TransientExecutorError`) retry with exponential
   backoff up to ``retries`` times; exhaustion surfaces the *original*
   executor error to every coalesced submitter.
-* **Result cache** — completed results are kept in a digest-keyed LRU;
-  repeat submissions return immediately (``cached=True``).
+* **Result cache** — completed results are kept in an LRU keyed on
+  request digest + resolved spec digest; repeat submissions return
+  immediately (``cached=True``).
 * **Drain** — :meth:`KernelServer.drain` stops intake, lets every
   queued and in-flight request finish, then shuts the pool down;
   ``async with KernelServer(...)`` drains on exit.
@@ -138,12 +144,28 @@ _WALL = _REGISTRY.histogram(
 _LATENCY = _REGISTRY.summary(
     "serve_request_latency_seconds",
     "live wall-latency quantiles (p50/p95/p99), by kernel")
+_WALL_CHILDREN: Dict[str, Tuple[Histogram, Summary]] = {}
+
+
+def _observe_walls(kernel: str, walls: Sequence[float]) -> None:
+    """Flush wall latencies for *kernel* in two locked calls (the
+    labelled children are cached: labels() is a locked dict lookup)."""
+    if not walls:
+        return
+    pair = _WALL_CHILDREN.get(kernel)
+    if pair is None:
+        pair = (_WALL.labels(kernel=kernel), _LATENCY.labels(kernel=kernel))
+        _WALL_CHILDREN[kernel] = pair
+    pair[0].observe_many(walls)
+    pair[1].observe_many(walls)
 
 
 @dataclass
 class _Pending:
     """One accepted request waiting for its batch to complete.
 
+    ``key`` is admission's result-cache key (request digest ``:`` spec
+    digest), read back instead of re-hashing the operands.
     Telemetry rides along as raw ``perf_counter`` stamps (``trace`` set
     means telemetry is on for this request); the
     :class:`~repro.obs.flight.FlightRecord` itself is assembled once at
@@ -155,6 +177,7 @@ class _Pending:
 
     request: ServeRequest
     spec: TechSpec
+    key: str
     future: "asyncio.Future[ServeResult]"
     expires_at: Optional[float] = None
     cancelled: bool = False
@@ -163,6 +186,10 @@ class _Pending:
     dequeued_at: float = 0.0
     group_stamps: Optional[Tuple[float, float, int, int, int]] = None
     flight_done: bool = False
+
+    @property
+    def digest(self) -> str:  # the request digest: the key's first half
+        return self.key.partition(":")[0]
 
 
 class _Stop:
@@ -207,11 +234,10 @@ def _run_evaluate(request: ServeRequest, spec: TechSpec) -> Dict[str, float]:
 class SpecResolver:
     """Per-request spec derivation with a bounded memo.
 
-    ``TechSpec.derive`` walks and re-freezes the whole tree, so a
-    server (or a cluster front door, which must resolve the spec
-    *before* its shared-cache probe) memoises derivations per canonical
-    override payload.  The memo is a simple bounded dict — overrides
-    repeat heavily in steady state.
+    ``TechSpec.derive`` walks and re-freezes the whole tree, so
+    admission memoises derivations per canonical override payload.
+    The memo is a simple bounded dict — overrides repeat heavily in
+    steady state.
     """
 
     def __init__(self, base: TechSpec, *, capacity: int = 256) -> None:
@@ -243,10 +269,9 @@ class AutoRouter:
     suggests the engine backend; placements are memoised per
     ``(spec, kernel, width, words)`` so steady-state routing is one
     dict probe.  Each resolution bumps
-    ``serve_autoroute_total{backend=}``.  Shared by
-    :class:`KernelServer` and the cluster front door (which must
-    resolve *before* probing the shared result cache, so auto and
-    explicit submissions of the same work share cache entries).
+    ``serve_autoroute_total{backend=}``.  Admission resolves *before*
+    probing the result cache, so auto and explicit submissions of the
+    same work share cache entries.
     """
 
     def __init__(self, *, capacity: int = 1024) -> None:
@@ -280,7 +305,111 @@ class AutoRouter:
         return replace(request, backend=resolved)
 
 
-class KernelServer:
+class _Admission:
+    """The one admission step every request crosses, in this order:
+    spec → ``"auto"`` backend → result key → result-cache probe.
+
+    A :class:`~repro.serve.cluster.ClusterServer` hands its instance to
+    every shard, so a cluster resolves, digests and caches each request
+    once.  A hit is answered here (flight record, wall latency); a miss
+    leaves as a :class:`_Pending` whose key the executing server
+    :meth:`fill`-s.  ``lock`` guards the cache and ``stats()``.
+    """
+
+    def __init__(
+        self,
+        spec: TechSpec,
+        *,
+        cache_capacity: int,
+        telemetry: bool,
+        flight: FlightRecorder,
+    ) -> None:
+        self.specs = SpecResolver(spec)
+        self.auto = AutoRouter()
+        self.cache_capacity = int(cache_capacity)
+        self.cache: "OrderedDict[str, ServeResult]" = OrderedDict()
+        self.telemetry = telemetry
+        self.flight = flight
+        self.lock = threading.Lock()
+
+    def admit(self, request: ServeRequest) -> Union[ServeResult, _Pending]:
+        """A cached result, or the admitted request ready to queue."""
+        trace: Optional[TraceContext] = None
+        accepted_at = 0.0
+        if self.telemetry:
+            if request.trace_id or request.id:
+                trace = TraceContext(
+                    trace_id=request.trace_id or new_trace_id(),
+                    request_id=request.id or new_request_id(),
+                )
+            else:
+                trace = new_trace_context()
+            accepted_at = time.perf_counter()
+        # Keyed on the resolved spec too, so re-pointed specs never
+        # collide; the backend is concrete from here on, so auto requests
+        # digest, batch, bill and cache exactly like explicit ones.
+        spec = self.specs.resolve(request.overrides)
+        request = self.auto.resolve(request, spec)
+        key = f"{request.digest}:{spec.digest}"
+        with self.lock:
+            cached = self.cache.get(key)
+            if cached is not None:
+                self.cache.move_to_end(key)
+        if cached is None:
+            loop = asyncio.get_running_loop()
+            return _Pending(
+                request, spec, key, loop.create_future(),
+                expires_at=(None if request.deadline_s is None
+                            else loop.time() + request.deadline_s),
+                trace=trace, accepted_at=accepted_at)
+        _REQUESTS["cached"].inc()
+        trace_id = request.trace_id
+        if trace is not None:
+            trace_id = trace.trace_id
+            now = time.perf_counter()
+            kernel = request.kernel or request.kind
+            self.flight.record(FlightRecord(
+                request_id=trace.request_id, trace_id=trace_id,
+                kernel=kernel, backend=request.backend, status="cached",
+                cache_hit=True, accepted_at=accepted_at,
+                finished_at=now, closed=True))
+            _observe_walls(kernel, [now - accepted_at])
+        return cached.for_request(request.id, cached=True, trace_id=trace_id)
+
+    def fill(self, key: str, result: ServeResult) -> None:
+        if self.cache_capacity < 1:
+            return
+        with self.lock:
+            self.cache[key] = result
+            self.cache.move_to_end(key)
+            while len(self.cache) > self.cache_capacity:
+                self.cache.popitem(last=False)
+
+
+class _Submitter:
+    """The bulk-submit idiom both servers share over their ``submit``."""
+
+    async def submit(self, request: ServeRequest) -> ServeResult:
+        raise NotImplementedError
+
+    async def submit_many(
+        self,
+        requests: Sequence[ServeRequest],
+        *,
+        return_exceptions: bool = False,
+    ) -> List[Union[ServeResult, BaseException]]:
+        """Submit a request mix concurrently, preserving order.
+
+        With ``return_exceptions`` each failed slot holds its typed
+        error instead of aborting the gather — the bulk-client idiom.
+        """
+        return await asyncio.gather(
+            *(self.submit(r) for r in requests),
+            return_exceptions=return_exceptions,
+        )
+
+
+class KernelServer(_Submitter):
     """Asyncio front door for kernel execution and evaluation requests.
 
     See the module docstring for the dataflow.  All methods must be
@@ -338,7 +467,10 @@ class KernelServer:
         self._run_batch: RunBatchFn = run_batch or _default_run_batch
         self.telemetry = bool(telemetry)
         self._flight = flight if flight is not None else get_flight_recorder()
-        self._wall_metrics: Dict[str, Tuple[Histogram, Summary]] = {}
+        self._admission = _Admission(
+            spec, cache_capacity=self.cache_capacity,
+            telemetry=self.telemetry, flight=self._flight)
+        self._shard = False
 
         # The asyncio primitives are created lazily inside the running
         # loop (_ensure_started): on Python 3.9 constructing them here
@@ -351,13 +483,6 @@ class KernelServer:
         self._pool: Optional[ThreadPoolExecutor] = None
         self._draining = False
         self._closed = False
-        self._cache: "OrderedDict[str, ServeResult]" = OrderedDict()
-        self._specs = SpecResolver(spec)
-        self._auto = AutoRouter()
-        # Guards the result cache and the stats() snapshot: the event
-        # loop mutates state while the telemetry HTTP thread (or any
-        # other thread) reads it through stats()/healthz.
-        self._lock = threading.Lock()
 
     @property
     def queue_depth(self) -> int:
@@ -367,13 +492,13 @@ class KernelServer:
     @property
     def spec(self) -> TechSpec:
         """The active base spec (per-request ``overrides`` derive from it)."""
-        return self._specs.base
+        return self._admission.specs.base
 
     @spec.setter
     def spec(self, value: TechSpec) -> None:
         # Re-pointing the active spec rebuilds the derivation memo:
         # cached derivations of the old base must never leak.
-        self._specs = SpecResolver(value)
+        self._admission.specs = SpecResolver(value)
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -430,50 +555,26 @@ class KernelServer:
         """
         if self._draining or self._closed:
             raise ServeError("server is draining; not accepting requests")
+        admitted = self._admission.admit(request)
+        if isinstance(admitted, ServeResult):
+            return admitted
+        return await self._enqueue(admitted)
+
+    # -- internals ----------------------------------------------------------
+
+    def _behind(self, admission: _Admission) -> None:
+        """Serve as a cluster shard behind *admission*: this server owns
+        no cache, spec memo or auto-router of its own."""
+        self._admission = admission
+        self._shard = True
+
+    async def _enqueue(self, pending: _Pending) -> ServeResult:
+        """Queue an admitted request; await its batch or its deadline."""
         self._ensure_started()
         assert self._queue is not None
         queue = self._queue
-
-        trace: Optional[TraceContext] = None
-        accepted_at = 0.0
-        if self.telemetry:
-            if request.trace_id or request.id:
-                trace = TraceContext(
-                    trace_id=request.trace_id or new_trace_id(),
-                    request_id=request.id or new_request_id(),
-                )
-            else:
-                trace = new_trace_context()
-            accepted_at = time.perf_counter()
-        trace_id = trace.trace_id if trace is not None else request.trace_id
-
-        # Resolve the spec BEFORE the cache probe: the result cache is
-        # keyed on (request digest, resolved spec digest), so the same
-        # request served under a different active spec (base spec or
-        # overrides) can never collide — and the executor backend is
-        # part of the request digest itself.
-        spec = self._derive_spec(request.overrides)
-        # Auto-routing resolves BEFORE the cache probe and queueing:
-        # from here on the request carries a concrete backend, so the
-        # digest, batch key, coalescing, split billing, and flight
-        # record all behave exactly as if the caller had named it.
-        if request.backend == "auto":
-            request = self._autoroute(request, spec)
-        cached = self._cache_get(self._result_key(request, spec))
-        if cached is not None:
-            _REQUESTS["cached"].inc()
-            if trace is not None:
-                now = time.perf_counter()
-                kernel = request.kernel or request.kind
-                self._flight.record(FlightRecord(
-                    request_id=trace.request_id, trace_id=trace.trace_id,
-                    kernel=kernel, backend=request.backend, status="cached",
-                    cache_hit=True, accepted_at=accepted_at,
-                    finished_at=now, closed=True))
-                self._observe_wall(kernel, now - accepted_at)
-            return cached.for_request(request.id, cached=True,
-                                      trace_id=trace_id)
-
+        request = pending.request
+        trace = pending.trace
         if queue.qsize() >= self.queue_limit:
             _REQUESTS["rejected"].inc()
             if trace is not None:
@@ -481,7 +582,7 @@ class KernelServer:
                     request_id=trace.request_id, trace_id=trace.trace_id,
                     kernel=request.kernel or request.kind,
                     backend=request.backend, status="rejected",
-                    error="queue full", accepted_at=accepted_at,
+                    error="queue full", accepted_at=pending.accepted_at,
                     finished_at=time.perf_counter(), closed=True)
                 self._flight.record(flight)
                 _LOG.warning("overloaded: %s", flight.describe())
@@ -489,16 +590,6 @@ class KernelServer:
                 f"request queue full ({self.queue_limit} pending); retry later"
             )
 
-        loop = asyncio.get_running_loop()
-        pending = _Pending(
-            request=request,
-            spec=spec,
-            future=loop.create_future(),
-            expires_at=(None if request.deadline_s is None
-                        else loop.time() + request.deadline_s),
-            trace=trace,
-            accepted_at=accepted_at,
-        )
         queue.put_nowait(pending)
         _QUEUE_DEPTH.set(queue.qsize())
         if request.deadline_s is None:
@@ -514,58 +605,9 @@ class KernelServer:
                 pending, "deadline",
                 error=f"missed {request.deadline_s}s deadline")
             raise DeadlineExceeded(
-                f"request {request.id or request.digest[:12]} missed its "
+                f"request {request.id or pending.key[:12]} missed its "
                 f"{request.deadline_s}s deadline"
             ) from None
-
-    async def submit_many(
-        self,
-        requests: Sequence[ServeRequest],
-        *,
-        return_exceptions: bool = False,
-    ) -> List[Union[ServeResult, BaseException]]:
-        """Submit a request mix concurrently, preserving order.
-
-        With ``return_exceptions`` each failed slot holds its typed
-        error instead of aborting the gather — the bulk-client idiom.
-        """
-        return await asyncio.gather(
-            *(self.submit(r) for r in requests),
-            return_exceptions=return_exceptions,
-        )
-
-    # -- internals ----------------------------------------------------------
-
-    def _autoroute(self, request: ServeRequest, spec: TechSpec) -> ServeRequest:
-        """Resolve ``backend="auto"`` (see :class:`AutoRouter`)."""
-        return self._auto.resolve(request, spec)
-
-    def _derive_spec(self, overrides: Mapping[str, Any]) -> TechSpec:
-        return self._specs.resolve(overrides)
-
-    @staticmethod
-    def _result_key(request: ServeRequest, spec: TechSpec) -> str:
-        """Result-cache key: request content digest + resolved spec
-        digest.  The request digest already folds in the executor
-        backend; appending the spec digest distinguishes identical
-        requests served under different active specs."""
-        return f"{request.digest}:{spec.digest}"
-
-    def _cache_get(self, digest: str) -> Optional[ServeResult]:
-        with self._lock:
-            result = self._cache.get(digest)
-            if result is not None:
-                self._cache.move_to_end(digest)
-            return result
-
-    def _cache_put(self, digest: str, result: ServeResult) -> None:
-        if self.cache_capacity < 1:
-            return
-        with self._lock:
-            self._cache[digest] = result
-            self._cache.move_to_end(digest)
-            while len(self._cache) > self.cache_capacity:
-                self._cache.popitem(last=False)
 
     async def _batch_loop(self) -> None:
         """Collect batching windows forever (until the drain sentinel)."""
@@ -755,11 +797,11 @@ class KernelServer:
                 spec_digest=spec.digest,
                 batch_words=len(live),
                 batch_requests=len(live),
-                digest=pending.request.digest,
+                digest=pending.digest,
                 trace_id=self._trace_id_for(pending),
             )
             self._finish(pending, result, walls=walls)
-        self._observe_wall_many("table2", walls)
+        _observe_walls("table2", walls)
 
     def _respond_kernel(
         self,
@@ -797,14 +839,14 @@ class KernelServer:
                 spec_digest=pending.spec.digest,
                 batch_words=total_words,
                 batch_requests=len(live),
-                digest=pending.request.digest,
+                digest=pending.digest,
                 trace_id=self._trace_id_for(pending),
             )
             self._finish(pending, result, walls=walls)
         # Label with the request-level kernel name (what the flight
         # records carry), not the engine's resolved variant name.
         first = live[0].request
-        self._observe_wall_many(first.kernel or first.kind, walls)
+        _observe_walls(first.kernel or first.kind, walls)
 
     def _finish(
         self,
@@ -812,8 +854,7 @@ class KernelServer:
         result: ServeResult,
         walls: Optional[List[float]] = None,
     ) -> None:
-        self._cache_put(
-            self._result_key(pending.request, pending.spec), result)
+        self._admission.fill(pending.key, result)
         if not pending.future.done():
             _REQUESTS["ok"].inc()
             pending.future.set_result(result)
@@ -872,7 +913,7 @@ class KernelServer:
         batch completion) are serialised by ``flight_done``.  When
         *walls* is given the wall latency is appended there instead of
         observed immediately: batch completion paths flush the whole
-        burst through :meth:`_observe_wall_many` in one locked call.
+        burst through :func:`_observe_walls` in one locked call.
         """
         trace = pending.trace
         if trace is None or pending.flight_done:
@@ -906,47 +947,27 @@ class KernelServer:
             if walls is not None:
                 walls.append(wall)
             else:
-                self._observe_wall(kernel, wall)
+                _observe_walls(kernel, [wall])
         else:
             _LOG.warning("%s", flight.describe())
-
-    def _observe_wall(self, kernel: str, wall_s: float) -> None:
-        # Cache the labelled children per kernel: labels() is a locked
-        # dict lookup, and this runs once per request.
-        pair = self._wall_metrics.get(kernel)
-        if pair is None:
-            pair = (_WALL.labels(kernel=kernel), _LATENCY.labels(kernel=kernel))
-            self._wall_metrics[kernel] = pair
-        pair[0].observe(wall_s)
-        pair[1].observe(wall_s)
-
-    def _observe_wall_many(self, kernel: str, walls: Sequence[float]) -> None:
-        """Flush one batch's wall latencies in two locked calls."""
-        if not walls:
-            return
-        pair = self._wall_metrics.get(kernel)
-        if pair is None:
-            pair = (_WALL.labels(kernel=kernel), _LATENCY.labels(kernel=kernel))
-            self._wall_metrics[kernel] = pair
-        pair[0].observe_many(walls)
-        pair[1].observe_many(walls)
 
     def stats(self) -> Dict[str, Any]:
         """Live operational stats (the ``/healthz`` extra fields).
 
-        Snapshotted under the server lock: ``/healthz`` runs this from
+        Snapshotted under the admission lock: ``/healthz`` runs this from
         the telemetry HTTP thread while the event loop and pool threads
         mutate the cache and lifecycle flags, so the fields must be read
         as one consistent cut, not field-by-field mid-mutation
         (regression: ``tests/test_serve.py::
         test_stats_snapshot_is_consistent_under_concurrency``).
         """
-        with self._lock:
+        admission = self._admission
+        with admission.lock:
             return {
                 "queue_depth": self._queue.qsize() if self._queue else 0,
                 "inflight_batches": len(self._inflight),
                 "workers": self.workers,
-                "cache_entries": len(self._cache),
+                "cache_entries": 0 if self._shard else len(admission.cache),
                 "flight_capacity": self._flight.capacity,
                 "telemetry": self.telemetry,
                 "draining": self._draining,

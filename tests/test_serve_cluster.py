@@ -17,6 +17,11 @@ Covers the PR 10 cluster guarantees:
   ServerOverloaded *before* admission; other tenants are unaffected.
 * **Load shedding** — shard backpressure propagates as
   ServerOverloaded and accepted work still completes correctly.
+* **One admission step** — the front door resolves the spec, the
+  backend, the result key and the cache once per request for the whole
+  cluster: one ``ServeRequest.digest`` and one ``TechSpec.derive`` per
+  request, and cache hits observe the per-kernel wall latency exactly
+  as a single server's do.
 * **Billing parity** (hypothesis property) — requests served through
   the cluster (hash routing + per-shard coalescing + split billing)
   bill identically to solo ``run_kernel`` execution: outputs exact,
@@ -28,16 +33,19 @@ from __future__ import annotations
 
 import asyncio
 import threading
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.engine import resolve_kernel, run_kernel
 from repro.errors import ServeError, ServerOverloaded
+from repro.obs.registry import get_registry
 from repro.serve import ServeRequest
 from repro.serve.cluster import ClusterServer
 from repro.serve.router import DEFAULT_VNODES, ShardRouter, route_key
-from repro.serve.server import _default_run_batch
+from repro.serve.server import KernelServer, _default_run_batch
+from repro.spec import TABLE1, TechSpec
 
 
 def run(coro):
@@ -298,6 +306,90 @@ class TestClusterServing:
         assert cluster.replicas == 2
         assert len(cluster.servers) == 6
         assert "quota=8" in cluster.describe()
+
+
+# -- one admission step per request -------------------------------------------
+
+
+class TestOneAdmission:
+    @pytest.mark.parametrize("make_server", [
+        lambda: KernelServer(max_wait_us=0),
+        lambda: ClusterServer(shards=2, max_wait_us=0),
+    ], ids=["server", "cluster"])
+    def test_cache_miss_digests_the_request_once(self, make_server,
+                                                 monkeypatch):
+        """Admission computes the result key once; the cache fill, the
+        result's digest and (in a cluster) the shard read it from the
+        pending entry instead of re-hashing every operand."""
+        digest = ServeRequest.digest
+        calls = []
+
+        def counted(request):
+            calls.append(request.id)
+            return digest.fget(request)
+
+        request = adder_request("miss", [1, 2, 3], [4, 5, 6], backend="auto")
+        monkeypatch.setattr(ServeRequest, "digest", property(counted))
+
+        async def scenario():
+            async with make_server() as server:
+                return await server.submit(request)
+
+        result = run(scenario())
+        assert not result.cached
+        assert calls == ["miss"]
+        resolved = replace(request, backend=result.backend)
+        assert result.digest == digest.fget(resolved)
+
+    def test_overrides_derive_once_per_cluster_not_per_shard(
+            self, monkeypatch):
+        overrides = {
+            "memristor.write_energy": 2 * TABLE1.memristor.write_energy}
+        spec_digest = TABLE1.derive(overrides).digest
+        widths = (4, 8, 16, 32)
+        router = ShardRouter(2)
+        assert {router.shard_for("adder", w, spec_digest)
+                for w in widths} == {0, 1}, "requests must reach both shards"
+        derive = TechSpec.derive
+        calls = []
+
+        def counted(spec, *args, **kwargs):
+            calls.append(args)
+            return derive(spec, *args, **kwargs)
+
+        monkeypatch.setattr(TechSpec, "derive", counted)
+
+        async def scenario():
+            async with ClusterServer(shards=2, max_wait_us=0) as cluster:
+                return await cluster.submit_many([
+                    adder_request(f"w{w}", [1], [2], width=w,
+                                  overrides=overrides)
+                    for w in widths])
+
+        results = run(scenario())
+        assert {r.spec_digest for r in results} == {spec_digest}
+        assert len(calls) == 1
+
+    def test_cluster_cache_hit_observes_wall_latency(self):
+        """Regression: a cluster cache hit used to skip the per-kernel
+        latency metrics a single server's hit observes."""
+        registry = get_registry()
+        wall = registry.get("serve_request_wall_seconds").labels(
+            kernel="adder")
+        summary = registry.get("serve_request_latency_seconds").labels(
+            kernel="adder")
+
+        async def scenario():
+            async with ClusterServer(shards=2, max_wait_us=0) as cluster:
+                await cluster.submit(adder_request("first", [7], [8]))
+                before = wall.count, summary.count
+                repeat = await cluster.submit(adder_request("again", [7], [8]))
+                return before, repeat
+
+        (wall_before, summary_before), repeat = run(scenario())
+        assert repeat.cached
+        assert wall.count == wall_before + 1
+        assert summary.count == summary_before + 1
 
 
 # -- billing parity (satellite: cluster batching never changes bills) --------
