@@ -352,7 +352,7 @@ def request(
     id: str = "",
     kind: str = "kernel",
     width: int = 32,
-    operands: Optional[Mapping[str, Sequence[int]]] = None,
+    operands: Optional[Mapping[str, Union[Sequence[int], np.ndarray]]] = None,
     backend: str = "auto",
     params: Optional[Mapping[str, Any]] = None,
     overrides: Optional[Mapping[str, Any]] = None,
@@ -366,8 +366,10 @@ def request(
     generator, and the tests all build requests through this helper.
     ``backend`` defaults to ``"auto"`` (cost-aware routing via the
     offload planner); ``operands`` maps word-group names to integer
-    word batches; ``overrides`` are dotted
-    :meth:`~repro.spec.TechSpec.derive` paths applied per request;
+    word batches (lists, tuples or integer arrays, packed here into
+    read-only ``uint64`` arrays; bad words raise ``ServeError``);
+    ``overrides`` are dotted :meth:`~repro.spec.TechSpec.derive` paths
+    applied per request;
     ``tenant`` names the submitting principal for cluster quotas.
     Submit the result through :func:`connect`'s client.
     """

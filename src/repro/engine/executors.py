@@ -55,7 +55,7 @@ from ..spec.costmodel import CIMCostModel
 from ..spec.ledger import CostLedger
 from .bitplane import BitplaneExecutor
 from .kernel import OP_FALSE, OP_IMP, OP_LOAD, CompiledKernel
-from .packing import pack_words, unpack_words
+from .packing import all_bits, pack_words, unpack_words
 
 #: Names accepted by :func:`run_kernel`'s ``backend`` argument.
 BACKENDS = ("functional", "functional_bitplane", "electrical", "analytical")
@@ -221,14 +221,16 @@ def _prepare_input_bits(
             for lane, signal in enumerate(group):
                 put(signal, packed[:, lane], name)
         elif name in kernel.inputs:
-            bits = np.atleast_1d(np.asarray(values, dtype=np.uint8))
-            if bits.ndim != 1:
+            # Checked before the uint8 cast, which would wrap -1 and
+            # truncate 0.5 into valid-looking bits.
+            raw = np.atleast_1d(np.asarray(values))
+            if raw.ndim != 1:
                 raise EngineError(
                     f"input {name!r} must be a flat bit vector"
                 )
-            if bits.size and not np.isin(bits, (0, 1)).all():
+            if raw.size and not all_bits(raw):
                 raise EngineError(f"input {name!r} must hold bits (0/1)")
-            put(name, bits, name)
+            put(name, raw.astype(np.uint8), name)
         else:
             raise EngineError(
                 f"{kernel.name}: unknown operand {name!r}; word groups: "

@@ -47,6 +47,11 @@ def _check_width(width: int) -> int:
     return int(width)
 
 
+def all_bits(values: np.ndarray) -> bool:
+    """Whether every entry is 0 or 1 (exact: ``2``, ``-1``, ``0.5`` fail)."""
+    return bool(((values == 0) | (values == 1)).all())
+
+
 def int_to_bits(value: int, width: int) -> List[int]:
     """Little-endian bit list of one *width*-bit word."""
     width = _check_width(width)
@@ -134,12 +139,14 @@ def unpack_words(bits: np.ndarray) -> np.ndarray:
     if matrix.ndim != 2:
         raise EngineError(f"expected a (words, width) matrix, got shape {matrix.shape}")
     width = _check_width(matrix.shape[1])
-    if matrix.size and not np.isin(matrix, (0, 1)).all():
+    if matrix.size and not all_bits(matrix):
         raise EngineError("bit matrix entries must be 0/1")
-    lanes = np.arange(width, dtype=np.uint64)
-    return (matrix.astype(np.uint64) << lanes[None, :]).sum(
-        axis=1, dtype=np.uint64
-    )
+    # Pad every word to 64 lanes and let packbits assemble its 8 bytes;
+    # the explicit "<u8" view reads them little-endian on any host.
+    lanes = np.zeros((matrix.shape[0], 64), dtype=np.uint8)
+    lanes[:, :width] = matrix
+    packed = np.packbits(lanes.reshape(-1), bitorder="little")
+    return packed.view("<u8").astype(np.uint64)
 
 
 def plane_lanes(words: int) -> int:
@@ -165,7 +172,7 @@ def pack_bitplanes(bits: np.ndarray) -> np.ndarray:
         )
     signals, words = matrix.shape
     lanes = plane_lanes(words)
-    if matrix.size and not np.isin(matrix, (0, 1)).all():
+    if matrix.size and not all_bits(matrix):
         raise EngineError("bit matrix entries must be 0/1")
     padded = np.zeros((signals, lanes * PLANE_LANE_BITS), dtype=np.uint8)
     padded[:, :words] = matrix

@@ -344,7 +344,7 @@ def _request_to_wire(request: ServeRequest, wire_id: str) -> Dict[str, Any]:
         payload["kernel"] = request.kernel
     if request.operands:
         payload["operands"] = {
-            name: list(values) for name, values in request.operands.items()
+            name: values.tolist() for name, values in request.operands.items()
         }
     if request.params:
         payload["params"] = dict(request.params)

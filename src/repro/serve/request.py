@@ -14,19 +14,32 @@ A :class:`ServeRequest` describes one unit of work the server accepts:
     metrics; identical evaluations dedupe within a batch window and
     across the digest-keyed result cache.
 
+Operands travel packed: construction turns every operand into a
+read-only, contiguous little-endian ``uint64`` array (one vectorised
+copy for integer arrays; lists of Python numbers are checked word by
+word), rejecting negative, too-wide and non-integral words with a
+:class:`~repro.errors.ServeError` that names the operand and index.
+The arrays are what coalescing concatenates and the engine packs;
+Python ints reappear only in :class:`ServeResult` outputs and on the
+JSONL wire.
+
 Identity is content-addressed: :attr:`ServeRequest.digest` is a SHA-256
-over the canonical JSON form of the *semantic* fields (kind, kernel,
-width, backend, operands, params, spec overrides — not the caller's id
-or deadline), which keys the server's result cache so repeat
-submissions are served without re-execution.
+over a versioned canonical-JSON header of the *semantic* fields (kind,
+kernel, width, backend, operand names with their word counts, params,
+spec overrides — not the caller's id or deadline) followed by each
+operand's raw bytes in name order.  It keys the server's result cache
+so repeat submissions are served without re-execution, and it is
+computed at most once per request instance.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, fields, replace
+from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from ..engine import BACKENDS
 from ..errors import ServeError
@@ -50,16 +63,91 @@ REQUEST_KINDS: Tuple[str, ...] = ("kernel", "evaluate")
 SERVE_BACKENDS: Tuple[str, ...] = tuple(BACKENDS) + ("auto",)
 
 
+#: The packed operand word type: little-endian uint64.
+WORD_DTYPE = np.dtype("<u8")
+
+#: Version tag of the :attr:`ServeRequest.digest` format.
+DIGEST_VERSION = 2
+
+_WORD_LIMIT = 1 << 64
+
+#: What callers may pass as one operand: integer words or an array.
+OperandValues = Union[Sequence[int], np.ndarray]
+
+
 def _canonical(payload: Any) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def _outside(name: str, index: int, word: int) -> ServeError:
+    return ServeError(
+        f"operand {name!r} word {index} = {word} is outside 0..2**64-1")
+
+
+def _checked_word(name: str, index: int, value: Any) -> int:
+    try:
+        word = int(value)
+        integral = word == value
+    except (TypeError, ValueError, OverflowError):
+        integral = False
+    if not integral:
+        raise ServeError(
+            f"operand {name!r} word {index} is {value!r}; "
+            "words must be integers")
+    if not 0 <= word < _WORD_LIMIT:
+        raise _outside(name, index, word)
+    return word
+
+
+def _packed_words(name: str, values: OperandValues) -> np.ndarray:
+    """One operand as a read-only contiguous ``<u8`` array (a copy).
+
+    An array that is already packed — read-only ``<u8``, flat, owning
+    its buffer — passes through uncopied, so re-constructing a request
+    (``dataclasses.replace``) costs no per-word work.
+    """
+    if (isinstance(values, np.ndarray) and values.dtype == WORD_DTYPE
+            and values.ndim == 1 and values.flags.owndata
+            and not values.flags.writeable):
+        return values
+    not_flat = f"operand {name!r} must be a flat word sequence"
+    try:
+        array = np.asarray(values)
+    except ValueError:  # ragged nesting
+        raise ServeError(not_flat) from None
+    if array.ndim != 1:
+        raise ServeError(not_flat)
+    if array.dtype.kind in "biu":
+        if array.dtype.kind == "i" and (array < 0).any():
+            index = int(np.flatnonzero(array < 0)[0])
+            raise _outside(name, index, int(array[index]))
+        words = np.array(array, dtype=WORD_DTYPE, order="C", copy=True)
+    else:
+        # Floats, objects and mixed lists: NumPy's coercion can round
+        # (a float64 holds 2**63 + 1 as 2**63), so check the originals.
+        items = values.tolist() if isinstance(values, np.ndarray) else values
+        words = np.array(
+            [_checked_word(name, i, v) for i, v in enumerate(items)],
+            dtype=WORD_DTYPE)
+    words.setflags(write=False)
+    return words
+
+
+def _pack_operands(
+    operands: Mapping[Any, OperandValues],
+) -> Dict[str, np.ndarray]:
+    return {str(name): _packed_words(str(name), values)
+            for name, values in operands.items()}
 
 
 @dataclass(frozen=True)
 class ServeRequest:
     """One unit of serving work (see the module docstring).
 
-    ``operands`` maps word-group names to integer word tuples (kernel
-    requests); ``params`` carries evaluation options (``dna_packing``);
+    ``operands`` maps word-group names to packed words — read-only
+    little-endian ``uint64`` arrays, normalised (and copied) at
+    construction from any integer sequence (kernel requests);
+    ``params`` carries evaluation options (``dna_packing``);
     ``overrides`` are dotted :meth:`~repro.spec.TechSpec.derive` paths
     applied per request; ``deadline_s`` is the caller's total time
     budget measured from submission (``None`` = no deadline);
@@ -78,7 +166,7 @@ class ServeRequest:
     kind: str = "kernel"
     kernel: str = ""
     width: int = 32
-    operands: Mapping[str, Tuple[int, ...]] = field(default_factory=dict)
+    operands: Mapping[str, np.ndarray] = field(default_factory=dict)
     backend: str = "functional"
     params: Mapping[str, Any] = field(default_factory=dict)
     overrides: Mapping[str, Any] = field(default_factory=dict)
@@ -87,6 +175,7 @@ class ServeRequest:
     tenant: str = ""
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "operands", _pack_operands(self.operands))
         if self.kind not in REQUEST_KINDS:
             raise ServeError(
                 f"request kind must be one of {REQUEST_KINDS}, got {self.kind!r}"
@@ -110,26 +199,57 @@ class ServeRequest:
                 f"deadline_s must be positive, got {self.deadline_s}"
             )
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ServeRequest):
+            return NotImplemented
+        if self.operands.keys() != other.operands.keys():
+            return False
+        return all(
+            np.array_equal(values, other.operands[name])
+            for name, values in self.operands.items()
+        ) and all(
+            getattr(self, f.name) == getattr(other, f.name)
+            for f in fields(self) if f.name != "operands"
+        )
+
     @property
     def words(self) -> int:
         """Word count of the operand batch (1 for evaluate requests)."""
         if self.kind != "kernel" or not self.operands:
             return 1
-        return max(len(values) for values in self.operands.values())
+        return max(values.shape[0] for values in self.operands.values())
 
     @property
     def digest(self) -> str:
-        """Content digest — the result-cache key (id/deadline excluded)."""
-        payload = {
+        """Content digest — the result-cache key (id/deadline excluded).
+
+        SHA-256 over a canonical-JSON header (format version, semantic
+        fields, operand names with word counts) and then each operand's
+        raw little-endian bytes in name order.  Computed once per
+        instance.
+        """
+        memo: Optional[str] = self.__dict__.get("_digest")
+        if memo is None:
+            memo = self._content_digest()
+            object.__setattr__(self, "_digest", memo)
+        return memo
+
+    def _content_digest(self) -> str:
+        names = sorted(self.operands)
+        header = {
+            "v": DIGEST_VERSION,
             "kind": self.kind,
             "kernel": self.kernel.lower(),
             "width": self.width,
             "backend": self.backend,
-            "operands": {k: list(v) for k, v in sorted(self.operands.items())},
+            "operands": [[name, self.operands[name].shape[0]] for name in names],
             "params": {k: self.params[k] for k in sorted(self.params)},
             "overrides": {k: self.overrides[k] for k in sorted(self.overrides)},
         }
-        return hashlib.sha256(_canonical(payload).encode()).hexdigest()
+        sha = hashlib.sha256(_canonical(header).encode())
+        for name in names:
+            sha.update(self.operands[name].data)
+        return sha.hexdigest()
 
     def batch_key(self, spec_digest: str) -> Tuple[Any, ...]:
         """Coalescing compatibility key: requests sharing it can merge
@@ -192,7 +312,7 @@ def make_request(
     id: str = "",
     kind: str = "kernel",
     width: int = 32,
-    operands: Optional[Mapping[str, Sequence[int]]] = None,
+    operands: Optional[Mapping[str, OperandValues]] = None,
     backend: str = "auto",
     params: Optional[Mapping[str, Any]] = None,
     overrides: Optional[Mapping[str, Any]] = None,
@@ -202,9 +322,9 @@ def make_request(
 ) -> ServeRequest:
     """The one way to build a :class:`ServeRequest` (``api.request``).
 
-    Normalises what the dataclass constructor takes literally: operand
-    values become canonical integer tuples (so numpy arrays and lists
-    digest identically), and ``backend`` defaults to ``"auto"`` — the
+    Operands are packed like every constructor call packs them (so
+    NumPy arrays of any integer dtype, lists and tuples digest
+    identically), and ``backend`` defaults to ``"auto"`` — the
     cost-aware routing path — instead of the wire format's legacy
     ``"functional"``.  Evaluate requests ignore the backend, so it is
     pinned to the wire default there; helper-built and wire-built
@@ -216,16 +336,12 @@ def make_request(
     """
     if kind == "evaluate":
         backend = "functional"
-    normalised: Dict[str, Tuple[int, ...]] = {
-        str(name): tuple(int(value) for value in values)
-        for name, values in (operands or {}).items()
-    }
     return ServeRequest(
         id=str(id),
         kind=str(kind),
         kernel=str(kernel),
         width=int(width),
-        operands=normalised,
+        operands=_pack_operands(operands or {}),
         backend=str(backend),
         params=dict(params or {}),
         overrides=dict(overrides or {}),
@@ -256,18 +372,16 @@ def request_from_dict(payload: Mapping[str, Any]) -> ServeRequest:
     raw_operands = payload.get("operands", {})
     if not isinstance(raw_operands, Mapping):
         raise ServeError("operands must map names to integer word lists")
-    operands: Dict[str, Tuple[int, ...]] = {}
     for name, values in raw_operands.items():
         if not isinstance(values, Sequence) or isinstance(values, (str, bytes)):
             raise ServeError(f"operand {name!r} must be a list of integers")
-        operands[str(name)] = tuple(int(v) for v in values)
     deadline = payload.get("deadline_s")
     return make_request(
         id=str(payload.get("id", "")),
         kind=kind,
         kernel=str(payload.get("kernel", "")),
         width=int(payload.get("width", 32)),
-        operands=operands,
+        operands=raw_operands,
         backend=backend,
         params=dict(payload.get("params", {})),
         overrides=dict(payload.get("overrides", {})),

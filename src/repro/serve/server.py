@@ -77,6 +77,8 @@ from typing import (
     Union,
 )
 
+import numpy as np
+
 from ..engine import (
     BatchResult,
     coalesce_operand_batches,
@@ -110,9 +112,9 @@ _LOG = get_logger("serve")
 
 #: Injectable batch executor: ``(request, operands, spec) -> BatchResult``.
 #: *request* is the group's representative; *operands* the coalesced
-#: operand mapping (``None`` for evaluate / analytical groups).
+#: packed operand mapping (``None`` for evaluate / analytical groups).
 RunBatchFn = Callable[
-    [ServeRequest, Optional[Mapping[str, Sequence[int]]], TechSpec],
+    [ServeRequest, Optional[Mapping[str, np.ndarray]], TechSpec],
     BatchResult,
 ]
 
@@ -201,7 +203,7 @@ _STOP = _Stop()
 
 def _default_run_batch(
     request: ServeRequest,
-    operands: Optional[Mapping[str, Sequence[int]]],
+    operands: Optional[Mapping[str, np.ndarray]],
     spec: TechSpec,
 ) -> BatchResult:
     """The production executor: resolve + run the engine kernel."""
@@ -729,12 +731,11 @@ class KernelServer(_Submitter):
                 if request.kind == "evaluate":
                     await self._run_evaluate_group(live)
                     return
-                merged: Optional[Dict[str, Any]] = None
+                merged: Optional[Dict[str, np.ndarray]] = None
                 sizes = [p.request.words for p in live]
                 if request.operands:
-                    merged_map, sizes = coalesce_operand_batches(
-                        [dict(p.request.operands) for p in live])
-                    merged = dict(merged_map)
+                    merged, sizes = coalesce_operand_batches(
+                        [p.request.operands for p in live])
                 total_words = sum(sizes)
                 _BATCH_WORDS.observe(total_words)
                 # The span is opened *after* the awaited execution and
@@ -818,14 +819,19 @@ class KernelServer(_Submitter):
             parts = batch.split(sizes)
         else:
             parts = [batch]
+        # One unpack per output group for the whole batch; members
+        # take consecutive slices of it.
+        batch_words: Dict[str, List[int]] = {}
+        if batch.outputs is not None:
+            batch_words = {group: batch.word(group).tolist()
+                           for group in batch.word_outputs}
         walls: List[float] = []
+        offset = 0
         for pending, part in zip(live, parts):
-            outputs: Dict[str, Tuple[int, ...]] = {}
-            if part.outputs is not None:
-                outputs = {
-                    group: tuple(int(w) for w in part.word(group))
-                    for group in part.word_outputs
-                }
+            end = offset + part.words
+            outputs = {group: tuple(words[offset:end])
+                       for group, words in batch_words.items()}
+            offset = end
             result = ServeResult(
                 id=pending.request.id,
                 kind=pending.request.kind,

@@ -99,6 +99,22 @@ class TestPacking:
     def test_bool_batch_packs(self):
         assert pack_words([True, False], 1).tolist() == [[1], [0]]
 
+    def test_unpack_matches_the_shift_sum_at_every_width(self):
+        """unpack_words equals the reference per-lane shift sum at
+        every width, with the top lane set."""
+        rng = np.random.default_rng(7)
+        for width in range(1, MAX_WIDTH + 1):
+            bits = rng.integers(0, 2, (33, width), dtype=np.uint8)
+            bits[0] = 1
+            lanes = np.arange(width, dtype=np.uint64)
+            expected = (bits.astype(np.uint64) << lanes).sum(
+                axis=1, dtype=np.uint64)
+            words = unpack_words(bits)
+            assert words.dtype == np.uint64
+            assert np.array_equal(words, expected)
+        assert unpack_words(np.array([[True, False, True]])).tolist() == [5]
+        assert unpack_words(np.array([[1.0, 1.0]])).tolist() == [3]
+
     def test_awkward_widths_round_trip(self):
         """Widths that are not multiples of 8 or 64 must round-trip."""
         for width in (1, 3, 7, 9, 13, 31, 33, 63):

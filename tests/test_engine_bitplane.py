@@ -14,8 +14,10 @@ from repro.engine import (
     default_backend,
     pack_bitplanes,
     plane_lanes,
+    resolve_kernel,
     run_kernel,
     unpack_bitplanes,
+    unpack_words,
 )
 from repro.engine.bitplane import (
     REPLAY_CACHE_CAPACITY,
@@ -66,6 +68,40 @@ class TestPlaneTransforms:
             unpack_bitplanes(np.zeros((2, 1), dtype=np.uint32), 4)
         with pytest.raises(EngineError):
             unpack_bitplanes(np.zeros((2, 1), dtype=np.uint64), 65)
+
+
+class TestBitChecks:
+    """The three 0/1 guards reject ``2``, ``-1`` and ``0.5``; the
+    raw-signal guard runs before the uint8 cast, which would otherwise
+    wrap ``-1`` and truncate ``0.5`` into valid-looking bits."""
+
+    @pytest.mark.parametrize("bad", [2, -1, 0.5])
+    def test_unpack_words_rejects(self, bad):
+        with pytest.raises(EngineError, match="0/1"):
+            unpack_words(np.array([[1, bad, 0]]))
+
+    @pytest.mark.parametrize("bad", [2, -1, 0.5])
+    def test_pack_bitplanes_rejects(self, bad):
+        with pytest.raises(EngineError, match="0/1"):
+            pack_bitplanes(np.array([[1, bad, 0]]))
+
+    @pytest.mark.parametrize("bad", [2, -1, 0.5])
+    @pytest.mark.parametrize("as_array", [False, True])
+    def test_raw_signal_input_rejects(self, bad, as_array):
+        kernel = resolve_kernel("adder", 2)
+        signal = [0, bad] if not as_array else np.array([0, bad])
+        operands = {name: [0, 1] for name in kernel.inputs}
+        operands[kernel.inputs[0]] = signal
+        with pytest.raises(EngineError, match="0/1"):
+            _prepare_input_bits(kernel, operands)
+
+    def test_bool_and_float_bits_still_accepted(self):
+        kernel = resolve_kernel("adder", 2)
+        operands = {name: np.array([True, False]) for name in kernel.inputs}
+        operands[kernel.inputs[0]] = [1.0, 0.0]
+        bits = _prepare_input_bits(kernel, operands)
+        assert bits.dtype == np.uint8
+        assert bits[0].tolist() == [1, 0]
 
 
 class TestReplayCache:

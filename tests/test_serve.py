@@ -16,7 +16,9 @@ import io
 import json
 import threading
 import time
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -45,6 +47,15 @@ def adder_request(request_id, a, b, *, width=8, **kwargs):
 
 def run(coro):
     return asyncio.run(coro)
+
+
+def assert_packed(operands, expected):
+    """*operands* are read-only ``<u8`` arrays holding *expected*'s words."""
+    assert set(operands) == set(expected)
+    for name, words in expected.items():
+        assert operands[name].dtype == np.dtype("<u8")
+        assert not operands[name].flags.writeable
+        assert operands[name].tolist() == words
 
 
 class TestRequestProtocol:
@@ -82,7 +93,7 @@ class TestRequestProtocol:
             "id": "r1", "op": "kernel", "kernel": "adder", "width": 8,
             "operands": {"a": [1, 2], "b": [3, 4]},
         })
-        assert request.operands == {"a": (1, 2), "b": (3, 4)}
+        assert_packed(request.operands, {"a": [1, 2], "b": [3, 4]})
         with pytest.raises(ServeError):
             request_from_dict({"id": "r1", "bogus": 1})
         with pytest.raises(ServeError):
@@ -98,6 +109,139 @@ class TestRequestProtocol:
         assert payload["id"] == "r"
         assert payload["outputs"]["sum"] == [3]
         json.dumps(payload)  # wire format must be JSON-serialisable
+
+
+class TestPackedOperands:
+    """Operands are packed ``<u8`` arrays from construction on; bad words
+    fail there, and the v2 digest hashes the packed bytes."""
+
+    @pytest.mark.parametrize("words, match", [
+        ([3, -1], r"operand 'a' word 1 = -1 is outside 0\.\.2\*\*64-1"),
+        (np.array([0, 0, -5]), r"operand 'a' word 2 = -5 is outside"),
+        ([2, 1.5], r"operand 'a' word 1 is 1.5"),
+        (np.array([0.25]), r"operand 'a' word 0 is 0.25"),
+        ([1 << 64], r"operand 'a' word 0 = \d+ is outside"),
+        ([-1, 1 << 63], r"operand 'a' word 0 = -1 is outside"),
+        ([float("nan")], r"operand 'a' word 0 is nan"),
+        (["7"], r"operand 'a' word 0 is '7'"),
+        ([[1, 2]], r"operand 'a' must be a flat"),
+        ("12", r"operand 'a' must be a flat"),
+        ([[1], [1, 2]], r"operand 'a' must be a flat"),
+    ])
+    def test_bad_words_fail_at_construction(self, words, match):
+        from repro import api
+
+        with pytest.raises(ServeError, match=match):
+            api.request(kernel="adder", width=8,
+                        operands={"a": words, "b": [1] * 3})
+        with pytest.raises(ServeError, match=match):
+            ServeRequest(id="x", kernel="adder", width=8,
+                         operands={"a": words, "b": [1] * 3})
+
+    def test_bad_wire_words_become_parse_errors(self):
+        for words in ([-1], [1.5], [1 << 64]):
+            with pytest.raises(ServeError, match="operand 'a' word 0"):
+                request_from_dict({"id": "r", "kernel": "adder", "width": 8,
+                                   "operands": {"a": words, "b": [1]}})
+
+    def test_integral_floats_and_bools_are_words(self):
+        request = adder_request("x", [1.0, True, np.float32(4)], [0, 1, 2])
+        assert_packed(request.operands, {"a": [1, 1, 4], "b": [0, 1, 2]})
+        big = adder_request("x", [(1 << 64) - 1], [0])
+        assert big.operands["a"].tolist() == [(1 << 64) - 1]
+
+    def test_every_integer_form_shares_one_digest(self):
+        words = [0, 1, 200, 65535]
+        forms = [
+            list(words), tuple(words),
+            np.array(words, dtype=np.int64), np.array(words, dtype=np.uint32),
+            np.array(words, dtype=np.uint64),
+            np.array(words, dtype=">u8"),
+            np.repeat(np.array(words, dtype=np.uint64), 2)[::2],
+        ]
+        digests = {adder_request("x", form, form, width=16).digest
+                   for form in forms}
+        assert len(digests) == 1
+
+    def test_moving_a_word_across_operands_changes_the_digest(self):
+        left = ServeRequest(id="x", kernel="adder", width=8,
+                            operands={"a": [1, 2], "b": [3]})
+        right = ServeRequest(id="x", kernel="adder", width=8,
+                             operands={"a": [1], "b": [2, 3]})
+        assert left.digest != right.digest
+        renamed = ServeRequest(id="x", kernel="adder", width=8,
+                               operands={"a": [1, 2], "c": [3]})
+        assert renamed.digest not in (left.digest, right.digest)
+
+    def test_caller_mutation_changes_neither_digest_nor_outputs(self):
+        from repro import api
+
+        a = np.array([1, 2, 3], dtype=np.uint64)
+        b = np.array([10, 20, 30], dtype=np.uint64)
+        request = api.request(kernel="adder", width=8, backend="functional",
+                              operands={"a": a, "b": b})
+        before = request.digest
+        a[:] = 0
+        b[0] = 99
+        assert request.digest == before
+        fresh = api.request(kernel="adder", width=8, backend="functional",
+                            operands={"a": [1, 2, 3], "b": [10, 20, 30]})
+        assert fresh.digest == before
+
+        async def scenario():
+            async with KernelServer(max_wait_us=0) as server:
+                return await server.submit(request)
+
+        assert run(scenario()).outputs["sum"] == (11, 22, 33)
+
+    def test_golden_v2_digest(self):
+        """Pins the cache-key format: a change here must be deliberate
+        (bump ``DIGEST_VERSION``)."""
+        import hashlib
+
+        request = adder_request("g", [1, 2], [3, 4])
+        header = ('{"backend":"functional","kernel":"adder","kind":"kernel",'
+                  '"operands":[["a",2],["b",2]],"overrides":{},"params":{},'
+                  '"v":2,"width":8}')
+        body = (header.encode() + np.array([1, 2], "<u8").tobytes()
+                + np.array([3, 4], "<u8").tobytes())
+        assert request.digest == hashlib.sha256(body).hexdigest()
+        assert request.digest == (
+            "1a015a76147fe757b8e3014fa7be6232805b390f5445854de3aa30f32ab858b4")
+
+    def test_digest_is_computed_once_per_instance(self, monkeypatch):
+        calls = []
+        content_digest = ServeRequest._content_digest
+
+        def counted(request):
+            calls.append(request.id)
+            return content_digest(request)
+
+        monkeypatch.setattr(ServeRequest, "_content_digest", counted)
+        request = adder_request("once", [1], [2])
+        assert request.digest == request.digest == request.digest
+        assert calls == ["once"]
+        other = replace(request, backend="electrical")
+        assert other.digest != request.digest
+        assert calls == ["once", "once"]
+
+    def test_packed_operands_pass_through_replace_uncopied(self):
+        request = adder_request("x", [1, 2], [3, 4])
+        routed = replace(request, backend="functional_bitplane")
+        for name in ("a", "b"):
+            assert routed.operands[name] is request.operands[name]
+        with pytest.raises(ValueError):
+            request.operands["a"][0] = 7
+
+    def test_equality_compares_operand_words(self):
+        base = adder_request("x", [1, 2], [3, 4])
+        assert base == adder_request("x", (1, 2), np.array([3, 4]))
+        assert base != adder_request("x", [1, 2], [3, 5])
+        assert base != adder_request("x", [1, 2, 0], [3, 4, 0])
+        assert base != adder_request("y", [1, 2], [3, 4])
+        assert base != ServeRequest(id="x", kernel="adder", width=8,
+                                    operands={"a": [1, 2], "c": [3, 4]})
+        assert base != "x"
 
 
 class TestBatchingAndCache:

@@ -8,6 +8,7 @@ same typed errors, same ``submit/submit_many/stats/close`` shape.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro import api
@@ -127,6 +128,25 @@ class TestJsonlClient:
             assert w.outputs == p.outputs
             assert w.energy == p.energy  # json round-trips doubles exactly
 
+    def test_packed_uint64_request_round_trips(self):
+        """The wire emits packed operands as plain JSON ints and the
+        answer matches the in-process server word for word."""
+        top = (1 << 32) - 1
+        request = api.request(
+            id="packed", kernel="adder", width=32, backend="functional",
+            operands={"a": np.array([top, 5, 0], dtype=np.uint64),
+                      "b": np.array([1, 6, 0], dtype=np.uint64)})
+        with connect("jsonl", max_wait_us=0) as wire, \
+                connect("local", max_wait_us=0) as local:
+            over_wire = wire.submit(request)
+            in_process = local.submit(request)
+        assert over_wire.id == "packed"
+        assert over_wire.outputs["sum"] == (0, 11, 0)  # top + 1 wraps
+        assert over_wire.outputs["cout"] == (1, 0, 0)
+        assert over_wire.outputs == in_process.outputs
+        assert all(type(w) is int for w in over_wire.outputs["sum"])
+        assert all(type(w) is int for w in in_process.outputs["sum"])
+
     def test_clustered_jsonl(self):
         with connect("jsonl", shards=2, max_wait_us=0) as client:
             result = client.submit(add_request("sharded", 3, 9))
@@ -166,7 +186,11 @@ class TestApiRequestHelper:
                               operands={"a": [1.0, 2], "b": (3, 4)},
                               tenant="team-a", deadline_s=2.5)
         assert request.kernel == "Adder"
-        assert request.operands == {"a": (1, 2), "b": (3, 4)}
+        assert set(request.operands) == {"a", "b"}
+        for name, words in {"a": [1, 2], "b": [3, 4]}.items():
+            assert request.operands[name].dtype == np.dtype("<u8")
+            assert not request.operands[name].flags.writeable
+            assert request.operands[name].tolist() == words
         assert request.tenant == "team-a"
         assert request.deadline_s == 2.5
         assert request.backend == "auto"
