@@ -452,7 +452,6 @@ def _cmd_plan(args: argparse.Namespace) -> int:
             si_format(choice.cim_energy_delay, "Js"),
             si_format(choice.cpu_energy_delay, "Js"),
             choice.placement.upper(),
-            choice.backend,
             ("-" if choice.crossover_words is None
              else f"{choice.crossover_words:,}"),
         ]
@@ -460,7 +459,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     ]
     print(format_table(
         ["Kernel", "Width", "Words", "CIM E*D", "CPU E*D",
-         "Placement", "Auto backend", "Crossover (words)"],
+         "Placement", "Crossover (words)"],
         rows,
         title=(
             "Offload plan (placement = lower predicted energy-delay; "

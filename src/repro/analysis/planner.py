@@ -19,9 +19,8 @@ into an automatic placement decision:
    quadratically, so the curves cross exactly once).
 
 The resulting :class:`Plan` backs the ``repro plan`` CLI subcommand and
-``api.plan``, feeds ``plan.*`` metrics into the DSE sweep engine, and
-answers the serve layer's ``backend="auto"`` routing queries
-(:func:`plan_request`).
+``api.plan`` and feeds ``plan.*`` metrics into the DSE sweep engine;
+:func:`plan_request` places one request-shaped workload.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from ..spec.ledger import CostLedger, Quantity
 from ..spec.techspec import TABLE1, TechSpec
 
 __all__ = [
-    "AUTO_BITPLANE_WORDS",
     "CROSSOVER_CAP_WORDS",
     "Plan",
     "PlacementChoice",
@@ -46,12 +44,7 @@ __all__ = [
     "plan_metrics",
     "plan_request",
     "read_trace",
-    "suggest_backend",
 ]
-
-#: Batch size at which auto-routing prefers the bit-plane executor for
-#: CIM-placed work (below it, plane packing overhead beats the win).
-AUTO_BITPLANE_WORDS = 64
 
 #: Largest batch size the crossover bisection searches (2**50 words);
 #: beyond this the crossover is reported as ``None`` ("never observed").
@@ -168,8 +161,7 @@ class PlacementChoice:
     energy-delay product (joule-seconds for the whole entry) is lower,
     CIM on ties.  ``crossover_words`` is the smallest batch size at
     which CIM wins for this kernel/width/locality (``None`` if not
-    found below :data:`CROSSOVER_CAP_WORDS`); ``backend`` is the engine
-    backend auto-routing should use for a request shaped like this.
+    found below :data:`CROSSOVER_CAP_WORDS`).
     """
 
     kernel: str
@@ -184,7 +176,6 @@ class PlacementChoice:
     cpu_latency: float
     cpu_energy_delay: float
     crossover_words: Optional[int]
-    backend: str
 
     @property
     def cim_wins(self) -> bool:
@@ -205,7 +196,6 @@ class PlacementChoice:
             "cpu_latency_s": self.cpu_latency,
             "cpu_energy_delay_js": self.cpu_energy_delay,
             "crossover_words": self.crossover_words,
-            "backend": self.backend,
         }
 
 
@@ -329,21 +319,7 @@ class _EntryPricer:
             cpu_latency=cpu_t,
             cpu_energy_delay=cpu_ed,
             crossover_words=self.crossover(entry),
-            backend=suggest_backend(placement, entry.words),
         )
-
-
-def suggest_backend(placement: str, words: int) -> str:
-    """Engine backend auto-routing uses for a placed request.
-
-    CPU-placed work stays on the plain vectorised path; CIM-placed work
-    takes the bit-plane fast path once the batch amortises plane
-    packing (:data:`AUTO_BITPLANE_WORDS`).  The electrical reference is
-    never auto-chosen — it is a fidelity tool, not a serving backend.
-    """
-    if placement == "cim" and words >= AUTO_BITPLANE_WORDS:
-        return "functional_bitplane"
-    return "functional"
 
 
 def plan(
@@ -355,8 +331,8 @@ def plan(
 
     ``trace`` defaults to :func:`paper_trace` on the resolved spec.
     Each entry yields one :class:`PlacementChoice` with both predicted
-    energy-delay products, the winning placement, the crossover batch
-    size, and the backend auto-routing should use.
+    energy-delay products, the winning placement and the crossover
+    batch size.
     """
     spec = spec if spec is not None else TABLE1
     entries = list(trace) if trace is not None else paper_trace(spec)
@@ -377,7 +353,7 @@ def plan_request(
     spec: Optional[TechSpec] = None,
     hit_ratio: Optional[float] = None,
 ) -> PlacementChoice:
-    """Place one request-shaped workload (the serve auto-router's query)."""
+    """Place one request-shaped workload (kernel x width x words)."""
     spec = spec if spec is not None else TABLE1
     entry = TraceEntry(kernel=kernel, width=width, words=words,
                        hit_ratio=hit_ratio)

@@ -190,9 +190,8 @@ def plan(
     built-in DNA + math workload trace).  Every entry is priced under
     both the CIM and CPU cost models; the returned
     :class:`~repro.analysis.planner.Plan` carries per-kernel placement,
-    predicted energy-delay products, the Bitlet-style crossover batch
-    size, and the backend ``ServeRequest(backend="auto")`` would route
-    to.
+    predicted energy-delay products and the Bitlet-style crossover
+    batch size.
     """
     from .analysis.planner import plan as _plan
 
@@ -364,10 +363,11 @@ def request(
 
     The uniform construction path — the JSONL frontend, the load
     generator, and the tests all build requests through this helper.
-    ``backend`` defaults to ``"auto"`` (cost-aware routing via the
-    offload planner); ``operands`` maps word-group names to integer
-    word batches (lists, tuples or integer arrays, packed here into
-    read-only ``uint64`` arrays; bad words raise ``ServeError``);
+    ``backend`` defaults to ``"auto"`` (the bit-plane replay for
+    operand batches, analytical pricing without operands);
+    ``operands`` maps word-group names to integer word batches (lists,
+    tuples or integer arrays, packed here into read-only ``uint64``
+    arrays; bad words raise ``ServeError``);
     ``overrides`` are dotted :meth:`~repro.spec.TechSpec.derive` paths
     applied per request;
     ``tenant`` names the submitting principal for cluster quotas.

@@ -16,8 +16,7 @@ One pipeline from workload to cost, for every consumer::
   NumPy batch, the default), ``functional_bitplane`` (64-words-per-op
   bit-sliced planes, ~15x on kilo-word batches), ``electrical``
   (bit-exact device-level reference) or ``analytical`` (Table 1 cost
-  pricing, no simulation).  The ``REPRO_ENGINE_BACKEND`` environment
-  variable re-points the process-wide default.
+  pricing, no simulation).
 * Move data with the shared pack/unpack helpers
   (:func:`pack_words` / :func:`unpack_words` /
   :func:`pack_bitplanes` / :func:`unpack_bitplanes` /
@@ -43,13 +42,11 @@ from .builtins import (
 )
 from .executors import (
     BACKENDS,
-    DEFAULT_BACKEND_ENV,
     AnalyticalCostExecutor,
     BatchResult,
     ElectricalBatchExecutor,
     FunctionalBatchExecutor,
     coalesce_operand_batches,
-    default_backend,
     run_kernel,
 )
 from .kernel import (
@@ -78,7 +75,6 @@ from .packing import (
 
 __all__ = [
     "BACKENDS",
-    "DEFAULT_BACKEND_ENV",
     "KERNEL_BUILDERS",
     "KERNEL_CACHE_CAPACITY",
     "MAX_WIDTH",
@@ -100,7 +96,6 @@ __all__ = [
     "comparator_kernel",
     "compile_kernel",
     "compile_program",
-    "default_backend",
     "int_to_bits",
     "kernel_cache_len",
     "kernel_catalog",

@@ -16,8 +16,8 @@ The engine's execution contract is a single call —
     64-word uint64 bit planes (:mod:`repro.engine.bitplane`), so one
     bitwise op per instruction covers 64 words per lane — ~15x the
     ``functional`` path on kilo-word batches, still bit-identical.
-    Select it per call or process-wide via the
-    :data:`DEFAULT_BACKEND_ENV` environment variable.
+    The serve layer's ``backend="auto"`` resolves to it for every
+    operand batch.
 
 ``electrical``
     The fidelity reference: each word executes on a fresh
@@ -39,7 +39,6 @@ electrically.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -59,28 +58,6 @@ from .packing import all_bits, pack_words, unpack_words
 
 #: Names accepted by :func:`run_kernel`'s ``backend`` argument.
 BACKENDS = ("functional", "functional_bitplane", "electrical", "analytical")
-
-#: Environment variable naming the process-wide default backend
-#: (used when a caller leaves ``run_kernel(backend=...)`` unset).
-DEFAULT_BACKEND_ENV = "REPRO_ENGINE_BACKEND"
-
-
-def default_backend() -> str:
-    """Backend used when callers don't pick one explicitly.
-
-    ``functional`` unless :data:`DEFAULT_BACKEND_ENV` names another
-    registered backend — the deployment knob that flips a whole process
-    onto the bit-plane path without touching call sites.
-    """
-    name = os.environ.get(DEFAULT_BACKEND_ENV, "").strip()
-    if not name:
-        return "functional"
-    if name not in BACKENDS:
-        raise EngineError(
-            f"{DEFAULT_BACKEND_ENV}={name!r} is not a registered backend; "
-            f"choose one of {BACKENDS}"
-        )
-    return name
 
 _REGISTRY = get_registry()
 _DISPATCH_FAMILY = _REGISTRY.counter(
@@ -501,10 +478,8 @@ def run_kernel(
     *technology* directly or a :class:`~repro.spec.TechSpec` via *spec*
     (whose ``memristor`` node is used — supplying both is an error).
 
-    *backend* defaults to :func:`default_backend` — ``functional``
-    unless the ``REPRO_ENGINE_BACKEND`` environment variable names
-    another backend (e.g. ``functional_bitplane`` for the bit-sliced
-    fast path).
+    *backend* defaults to ``functional``; ``functional_bitplane`` is
+    the bit-sliced fast path with bit-identical results.
 
     *board* (a :class:`~repro.board.base.Board`) routes the electrical
     backend through that board's device population and charges the run
@@ -518,7 +493,7 @@ def run_kernel(
     simulated totals to a caller that keeps its own ledger.
     """
     if backend is None:
-        backend = "electrical" if board is not None else default_backend()
+        backend = "electrical" if board is not None else "functional"
     if backend not in _EXECUTOR_CLASSES:
         raise EngineError(
             f"unknown backend {backend!r}; choose one of {BACKENDS}"

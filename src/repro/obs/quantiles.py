@@ -62,142 +62,41 @@ class P2Quantile:
 
     def observe(self, value: float) -> None:
         """Absorb one observation in O(1) time and memory."""
-        value = float(value)
-        count = self._count = self._count + 1
-        if count <= 5:
-            buffer = self._buffer
-            buffer.append(value)
-            if count == 5:
-                buffer.sort()
-                self._h0, self._h1, self._h2, self._h3, self._h4 = buffer
-            return
-
-        # Locate the marker cell containing the observation, adjusting
-        # the extreme heights when it falls outside them; bump the
-        # positions of every marker above the cell.
-        if value < self._h0:
-            self._h0 = value
-            self._n1 += 1.0
-            self._n2 += 1.0
-            self._n3 += 1.0
-        elif value < self._h1:
-            self._n1 += 1.0
-            self._n2 += 1.0
-            self._n3 += 1.0
-        elif value < self._h2:
-            self._n2 += 1.0
-            self._n3 += 1.0
-        elif value < self._h3:
-            self._n3 += 1.0
-        elif value >= self._h4:
-            self._h4 = value
-        self._n4 += 1.0
-
-        # Nudge the three interior markers toward their desired
-        # positions with parabolic (falling back to linear) height
-        # interpolation.  Desired position of marker i after m extra
-        # observations: init_i + rate_i * m, rates (q/2, q, (1+q)/2).
-        q = self.q
-        m = float(count - 5)
-
-        ni = self._n1
-        delta = (1.0 + 2.0 * q + 0.5 * q * m) - ni
-        if delta >= 1.0 and self._n2 - ni > 1.0:
-            step = 1.0
-        elif delta <= -1.0 and 1.0 - ni < -1.0:
-            step = -1.0
-        else:
-            step = 0.0
-        if step:
-            lo, mid, hi = self._h0, self._h1, self._h2
-            nlo, nhi = 1.0, self._n2
-            candidate = mid + step / (nhi - nlo) * (
-                (ni - nlo + step) * (hi - mid) / (nhi - ni)
-                + (nhi - ni - step) * (mid - lo) / (ni - nlo)
-            )
-            if not lo < candidate < hi:
-                if step > 0.0:
-                    candidate = mid + (hi - mid) / (nhi - ni)
-                else:
-                    candidate = mid - (lo - mid) / (nlo - ni)
-            self._h1 = candidate
-            self._n1 = ni + step
-
-        ni = self._n2
-        delta = (1.0 + 4.0 * q + q * m) - ni
-        if delta >= 1.0 and self._n3 - ni > 1.0:
-            step = 1.0
-        elif delta <= -1.0 and self._n1 - ni < -1.0:
-            step = -1.0
-        else:
-            step = 0.0
-        if step:
-            lo, mid, hi = self._h1, self._h2, self._h3
-            nlo, nhi = self._n1, self._n3
-            candidate = mid + step / (nhi - nlo) * (
-                (ni - nlo + step) * (hi - mid) / (nhi - ni)
-                + (nhi - ni - step) * (mid - lo) / (ni - nlo)
-            )
-            if not lo < candidate < hi:
-                if step > 0.0:
-                    candidate = mid + (hi - mid) / (nhi - ni)
-                else:
-                    candidate = mid - (lo - mid) / (nlo - ni)
-            self._h2 = candidate
-            self._n2 = ni + step
-
-        ni = self._n3
-        delta = (3.0 + 2.0 * q + 0.5 * (1.0 + q) * m) - ni
-        if delta >= 1.0 and self._n4 - ni > 1.0:
-            step = 1.0
-        elif delta <= -1.0 and self._n2 - ni < -1.0:
-            step = -1.0
-        else:
-            step = 0.0
-        if step:
-            lo, mid, hi = self._h2, self._h3, self._h4
-            nlo, nhi = self._n2, self._n4
-            candidate = mid + step / (nhi - nlo) * (
-                (ni - nlo + step) * (hi - mid) / (nhi - ni)
-                + (nhi - ni - step) * (mid - lo) / (ni - nlo)
-            )
-            if not lo < candidate < hi:
-                if step > 0.0:
-                    candidate = mid + (hi - mid) / (nhi - ni)
-                else:
-                    candidate = mid - (lo - mid) / (nlo - ni)
-            self._h3 = candidate
-            self._n3 = ni + step
+        self.observe_many((float(value),))
 
     def observe_many(self, floats: Sequence[float]) -> None:
         """Absorb a burst of observations (already coerced to float).
 
-        Arithmetic is identical to calling :meth:`observe` per value —
-        bit-for-bit — but the five marker heights and four positions
-        live in locals across the whole burst and are written back
-        once, which roughly halves the per-value cost (attribute
-        traffic dominates the steady-state update).
+        The one marker update path: :meth:`observe` is a one-value
+        burst, and any split of a sequence into bursts lands on the same
+        bits.  The five marker heights and four positions live in
+        locals across the whole burst and are written back once
+        (attribute traffic dominates the steady-state update).
         """
+        count = self._count
         start = 0
-        if self._count < 5:
-            # Drain the buffered warm-up phase one value at a time.
-            for start, value in enumerate(floats):
-                self.observe(value)
-                if self._count == 5:
-                    start += 1
-                    break
-            else:
+        if count < 5:
+            # Buffer the warm-up values; the fifth seeds the markers.
+            start = min(5 - count, len(floats))
+            buffer = self._buffer
+            buffer.extend(floats[:start])
+            count = self._count = count + start
+            if count < 5:
                 return
+            buffer.sort()
+            self._h0, self._h1, self._h2, self._h3, self._h4 = buffer
         if start >= len(floats):
             return
 
         q = self.q
-        count = self._count
         h0, h1, h2, h3, h4 = self._h0, self._h1, self._h2, self._h3, self._h4
         n1, n2, n3, n4 = self._n1, self._n2, self._n3, self._n4
 
         for value in floats[start:] if start else floats:
             count += 1
+            # Locate the marker cell containing the observation,
+            # adjusting the extreme heights when it falls outside them;
+            # bump the positions of every marker above the cell.
             if value < h0:
                 h0 = value
                 n1 += 1.0
@@ -216,6 +115,11 @@ class P2Quantile:
                 h4 = value
             n4 += 1.0
 
+            # Nudge the three interior markers toward their desired
+            # positions with parabolic (falling back to linear) height
+            # interpolation.  Desired position of marker i after m
+            # extra observations: init_i + rate_i * m, rates
+            # (q/2, q, (1+q)/2).
             m = float(count - 5)
 
             delta = (1.0 + 2.0 * q + 0.5 * q * m) - n1
@@ -366,8 +270,9 @@ class QuantileDigest:
     def observe(self, value: float) -> None:
         """Feed one observation to every tracked quantile."""
         value = float(value)
+        burst = (value,)
         for estimator in self._sequence:
-            estimator.observe(value)
+            estimator.observe_many(burst)
         self._sum += value
         if self._min is None or value < self._min:
             self._min = value

@@ -18,9 +18,9 @@ sharding multiplies worker pools and batch windows without giving up
 the dynamic-batching win.  The front door runs a single server's
 admission step (:class:`~repro.serve.server._Admission`) once per
 request and queues the admitted request on the picked shard.  Shards
-share that instance and keep no spec memo, auto-router or cache of
-their own; their deadline, retry, backpressure and billing machinery
-applies per request unchanged.
+share that instance and keep no spec memo or cache of their own;
+their deadline, retry, backpressure and billing machinery applies per
+request unchanged.
 
 Cluster-level additions:
 

@@ -66,8 +66,8 @@ class LoadProfile:
     ``kernels`` lists the ``(kernel, width)`` families in the mix;
     ``shapes`` distinct request shapes are spread round-robin across
     them, each with its own seeded operand payload of ``words`` words.
-    ``backend`` applies to every request (``"auto"`` exercises the
-    planner path; ``"functional"`` keeps benches planner-independent).
+    ``backend`` applies to every request (``"auto"`` resolves to the
+    bit-plane replay; ``"functional"`` pins the NumPy replay).
     """
 
     kernels: Tuple[Tuple[str, int], ...] = (

@@ -58,8 +58,9 @@ __all__ = [
 REQUEST_KINDS: Tuple[str, ...] = ("kernel", "evaluate")
 
 #: Accepted values of :attr:`ServeRequest.backend`: every engine
-#: backend plus ``"auto"`` — let the server's cached offload plan
-#: (:mod:`repro.analysis.planner`) pick the backend per request.
+#: backend plus ``"auto"``, which admission resolves to
+#: ``functional_bitplane`` for operand batches and ``analytical`` for
+#: operand-less requests.
 SERVE_BACKENDS: Tuple[str, ...] = tuple(BACKENDS) + ("auto",)
 
 
@@ -325,10 +326,11 @@ def make_request(
     Operands are packed like every constructor call packs them (so
     NumPy arrays of any integer dtype, lists and tuples digest
     identically), and ``backend`` defaults to ``"auto"`` — the
-    cost-aware routing path — instead of the wire format's legacy
-    ``"functional"``.  Evaluate requests ignore the backend, so it is
-    pinned to the wire default there; helper-built and wire-built
-    evaluations share digests (and therefore cache entries).
+    bit-plane replay for operand batches — instead of the wire
+    format's legacy ``"functional"``.  Evaluate requests ignore the
+    backend, so it is pinned to the wire default there; helper-built
+    and wire-built evaluations share digests (and therefore cache
+    entries).
 
     Every construction path funnels through here: the JSONL frontend
     (:func:`request_from_dict`), the load generator

@@ -106,7 +106,7 @@ from ..obs.tracing import get_tracer
 from ..spec import TABLE1, TechSpec
 from .request import ServeRequest, ServeResult
 
-__all__ = ["AutoRouter", "KernelServer", "RunBatchFn", "SpecResolver"]
+__all__ = ["KernelServer", "RunBatchFn", "SpecResolver"]
 
 _LOG = get_logger("serve")
 
@@ -137,8 +137,11 @@ _RETRIES = _REGISTRY.counter(
     "serve_retries_total", "transient executor failures retried")
 _AUTOROUTE_FAMILY = _REGISTRY.counter(
     "serve_autoroute_total",
-    "auto-routed requests, by plan-resolved backend")
-_AUTOROUTE: Dict[str, Any] = {}
+    "auto-routed requests, by resolved backend")
+_AUTOROUTE = {
+    backend: _AUTOROUTE_FAMILY.labels(backend=backend)
+    for backend in ("functional_bitplane", "analytical")
+}
 _WALL = _REGISTRY.histogram(
     "serve_request_wall_seconds",
     "request wall latency (accept to respond), by kernel",
@@ -262,51 +265,6 @@ class SpecResolver:
         return spec
 
 
-class AutoRouter:
-    """Resolve ``backend="auto"`` requests via the cached offload plan.
-
-    Operand-less requests want pricing, not values — they go
-    analytical.  Otherwise the planner places the request's
-    (kernel, width, words) shape under the CIM/CPU cost models and
-    suggests the engine backend; placements are memoised per
-    ``(spec, kernel, width, words)`` so steady-state routing is one
-    dict probe.  Each resolution bumps
-    ``serve_autoroute_total{backend=}``.  Admission resolves *before*
-    probing the result cache, so auto and explicit submissions of the
-    same work share cache entries.
-    """
-
-    def __init__(self, *, capacity: int = 1024) -> None:
-        self._capacity = int(capacity)
-        self._memo: Dict[Tuple[str, str, int, int], str] = {}
-
-    def resolve(self, request: ServeRequest, spec: TechSpec) -> ServeRequest:
-        if request.backend != "auto" or request.kind != "kernel":
-            return request
-        if not request.operands:
-            resolved = "analytical"
-        else:
-            key = (spec.digest, request.kernel.lower(),
-                   request.width, request.words)
-            hit = self._memo.get(key)
-            if hit is None:
-                from ..analysis.planner import plan_request
-
-                hit = plan_request(
-                    request.kernel, request.width, request.words, spec=spec
-                ).backend
-                if len(self._memo) >= self._capacity:
-                    self._memo.pop(next(iter(self._memo)))
-                self._memo[key] = hit
-            resolved = hit
-        child = _AUTOROUTE.get(resolved)
-        if child is None:
-            child = _AUTOROUTE_FAMILY.labels(backend=resolved)
-            _AUTOROUTE[resolved] = child
-        child.inc()
-        return replace(request, backend=resolved)
-
-
 class _Admission:
     """The one admission step every request crosses, in this order:
     spec → ``"auto"`` backend → result key → result-cache probe.
@@ -327,7 +285,6 @@ class _Admission:
         flight: FlightRecorder,
     ) -> None:
         self.specs = SpecResolver(spec)
-        self.auto = AutoRouter()
         self.cache_capacity = int(cache_capacity)
         self.cache: "OrderedDict[str, ServeResult]" = OrderedDict()
         self.telemetry = telemetry
@@ -347,11 +304,17 @@ class _Admission:
             else:
                 trace = new_trace_context()
             accepted_at = time.perf_counter()
+        spec = self.specs.resolve(request.overrides)
+        if request.backend == "auto" and request.kind == "kernel":
+            # Operand batches run the bit-plane replay whatever their
+            # size; operand-less requests want pricing, not values.
+            backend = ("functional_bitplane" if request.operands
+                       else "analytical")
+            _AUTOROUTE[backend].inc()
+            request = replace(request, backend=backend)
         # Keyed on the resolved spec too, so re-pointed specs never
         # collide; the backend is concrete from here on, so auto requests
         # digest, batch, bill and cache exactly like explicit ones.
-        spec = self.specs.resolve(request.overrides)
-        request = self.auto.resolve(request, spec)
         key = f"{request.digest}:{spec.digest}"
         with self.lock:
             cached = self.cache.get(key)
@@ -566,7 +529,7 @@ class KernelServer(_Submitter):
 
     def _behind(self, admission: _Admission) -> None:
         """Serve as a cluster shard behind *admission*: this server owns
-        no cache, spec memo or auto-router of its own."""
+        no cache or spec memo of its own."""
         self._admission = admission
         self._shard = True
 

@@ -4,14 +4,11 @@ import numpy as np
 import pytest
 
 from repro.engine import (
-    BACKENDS,
-    DEFAULT_BACKEND_ENV,
     PLANE_LANE_BITS,
     adder_kernel,
     bitplane_outputs,
     cam_match_kernel,
     comparator_kernel,
-    default_backend,
     pack_bitplanes,
     plane_lanes,
     resolve_kernel,
@@ -183,25 +180,3 @@ class TestBitplaneExecution:
                    backend="functional_bitplane")
         assert labelled.value == before + 1
 
-
-class TestDefaultBackendEnv:
-    def test_default_is_functional(self, monkeypatch):
-        monkeypatch.delenv(DEFAULT_BACKEND_ENV, raising=False)
-        assert default_backend() == "functional"
-
-    def test_env_repoints_default(self, monkeypatch):
-        monkeypatch.setenv(DEFAULT_BACKEND_ENV, "functional_bitplane")
-        assert default_backend() == "functional_bitplane"
-        result = run_kernel(adder_kernel(8), {"a": [3], "b": [4]})
-        assert result.backend == "functional_bitplane"
-        assert result.word("sum").tolist() == [7]
-
-    def test_env_rejects_unknown_backend(self, monkeypatch):
-        monkeypatch.setenv(DEFAULT_BACKEND_ENV, "quantum")
-        with pytest.raises(EngineError, match="quantum"):
-            default_backend()
-
-    def test_every_backend_env_value_accepted(self, monkeypatch):
-        for backend in BACKENDS:
-            monkeypatch.setenv(DEFAULT_BACKEND_ENV, backend)
-            assert default_backend() == backend

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ObservabilityError
 from repro.obs.quantiles import DEFAULT_QUANTILES, P2Quantile, QuantileDigest
@@ -68,6 +69,30 @@ class TestP2Quantile:
         assert q.count == 0 and q.value is None
         q.observe(1.0)
         assert q.value == pytest.approx(1.0)
+
+    @given(
+        values=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                        max_size=60),
+        split=st.integers(min_value=0, max_value=60),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_observe_and_observe_many_are_bit_identical(self, values, split):
+        """Per-value ``observe``, one ``observe_many`` burst and a burst
+        split at an arbitrary point all land on the same bits."""
+        for target in DEFAULT_QUANTILES + (0.1, 0.25, 0.75):
+            single, burst, halves = (P2Quantile(target) for _ in range(3))
+            for v in values:
+                single.observe(v)
+            burst.observe_many(values)
+            halves.observe_many(values[:split])
+            halves.observe_many(values[split:])
+            expected = single.value
+            for other in (burst, halves):
+                assert other.count == single.count
+                if expected is None:
+                    assert other.value is None
+                else:
+                    assert other.value.hex() == expected.hex(), target
 
 
 class TestQuantileDigest:

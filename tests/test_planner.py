@@ -9,7 +9,6 @@ import pytest
 
 from repro import api
 from repro.analysis.planner import (
-    AUTO_BITPLANE_WORDS,
     Plan,
     PlacementChoice,
     TraceEntry,
@@ -18,7 +17,6 @@ from repro.analysis.planner import (
     plan_metrics,
     plan_request,
     read_trace,
-    suggest_backend,
 )
 from repro.errors import PlannerError
 from repro.spec import TABLE1
@@ -83,7 +81,6 @@ class TestPlan:
             assert choice.cim_energy_delay < choice.cpu_energy_delay
             assert choice.crossover_words == 1
             assert choice.cim_energy > 0 and choice.cpu_energy > 0
-            assert choice.backend == "functional_bitplane"  # huge batches
 
     def test_choice_lookup(self):
         result = plan()
@@ -118,12 +115,6 @@ class TestPlan:
         assert metrics["plan.adder.cim_wins"] == 1.0
         assert metrics["plan.adder.crossover_words"] == 1.0
         assert metrics["plan.comparator.cim_energy_delay"] > 0
-
-    def test_suggest_backend_thresholds(self):
-        assert suggest_backend("cpu", 10**9) == "functional"
-        assert suggest_backend("cim", AUTO_BITPLANE_WORDS - 1) == "functional"
-        assert (suggest_backend("cim", AUTO_BITPLANE_WORDS)
-                == "functional_bitplane")
 
 
 class TestApiAndCli:

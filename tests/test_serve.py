@@ -553,7 +553,7 @@ class TestAutoRouting:
         from repro.obs.registry import get_registry
 
         counter = get_registry().get(
-            "serve_autoroute_total").labels(backend="functional")
+            "serve_autoroute_total").labels(backend="functional_bitplane")
         before = counter.value
 
         async def scenario():
@@ -562,7 +562,7 @@ class TestAutoRouting:
                     adder_request("r", [1, 2], [3, 4], backend="auto"))
 
         result = run(scenario())
-        assert result.backend == "functional"
+        assert result.backend == "functional_bitplane"
         assert result.outputs["sum"] == (4, 6)
         assert counter.value == before + 1
 
@@ -595,7 +595,8 @@ class TestAutoRouting:
         async def scenario():
             async with KernelServer(max_wait_us=0) as server:
                 explicit = await server.submit(
-                    adder_request("e", [5], [6], backend="functional"))
+                    adder_request("e", [5], [6],
+                                  backend="functional_bitplane"))
                 auto = await server.submit(
                     adder_request("a", [5], [6], backend="auto"))
                 return explicit, auto
@@ -617,7 +618,7 @@ class TestAutoRouting:
                     adder_request("auto", [1, 2, 3], [4, 5, 6],
                                   backend="auto"),
                     adder_request("explicit", [7], [8],
-                                  backend="functional"),
+                                  backend="functional_bitplane"),
                 ])
 
         auto, explicit = run(scenario())
@@ -627,6 +628,27 @@ class TestAutoRouting:
         assert auto.outputs["sum"] == tuple(int(w) for w in alone.word("sum"))
         assert auto.energy == alone.energy
         assert auto.steps_per_word == alone.steps_per_word
+
+    def test_auto_requests_of_any_size_share_one_batch(self):
+        """Routing no longer depends on a request's own word count, so a
+        1-word and a 100-word auto request resolve alike and coalesce."""
+        wide_a = [(7 * i) % 256 for i in range(100)]
+        wide_b = [(13 * i + 5) % 256 for i in range(100)]
+
+        async def scenario():
+            async with KernelServer(max_wait_us=50_000,
+                                    cache_capacity=0) as server:
+                return await server.submit_many([
+                    adder_request("one", [200], [99], backend="auto"),
+                    adder_request("wide", wide_a, wide_b, backend="auto"),
+                ])
+
+        one, wide = run(scenario())
+        assert one.batch_requests == 2 and wide.batch_requests == 2
+        for result, (a, b) in ((one, ([200], [99])), (wide, (wide_a, wide_b))):
+            alone = run_kernel(resolve_kernel("adder", 8), {"a": a, "b": b})
+            assert result.outputs["sum"] == tuple(
+                int(w) for w in alone.word("sum"))
 
     def test_flight_record_carries_resolved_backend(self):
         from repro.obs.flight import FlightRecorder
@@ -641,7 +663,7 @@ class TestAutoRouting:
 
         run(scenario())
         (record,) = recorder.for_request("fr")
-        assert record.backend == "functional"
+        assert record.backend == "functional_bitplane"
         assert record.status == "ok"
 
     def test_jsonl_rejects_unknown_backend_at_parse_time(self):

@@ -195,7 +195,7 @@ class TestClusterServing:
         async def scenario():
             async with ClusterServer(shards=2, max_wait_us=0) as cluster:
                 explicit = await cluster.submit(adder_request(
-                    "explicit", [5], [6], backend="functional"))
+                    "explicit", [5], [6], backend="functional_bitplane"))
                 auto = await cluster.submit(adder_request(
                     "auto", [5], [6], backend="auto"))
                 return explicit, auto
